@@ -23,20 +23,21 @@ from repro.compiler.options import CompileOptions
 from repro.errors import (CompilationError, FreezeError, GuestError,
                           MaterializeError, NoAllocError, ReproError,
                           TaintError, UnrollError)
-from repro.codecache import CompileService, PersistentCodeCache
+from repro.codecache import PersistentCodeCache
 from repro.interp.interpreter import Interpreter
 from repro.jit.api import Lancet
 from repro.jit.cache import CodeCache, make_hot, make_jit
 from repro.observability import CompileReport, Telemetry
 from repro.pipeline import (PassManager, TieredFunction, TierPolicy,
                             tier_options)
+from repro.server import CompileServer
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Lancet", "Interpreter", "CompileOptions", "CompiledFunction",
     "CodeCache", "make_jit", "make_hot",
-    "PersistentCodeCache", "CompileService",
+    "PersistentCodeCache", "CompileServer",
     "PassManager", "TieredFunction", "TierPolicy", "tier_options",
     "Telemetry", "CompileReport",
     "ReproError", "GuestError", "CompilationError", "FreezeError",

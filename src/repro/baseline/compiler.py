@@ -151,6 +151,7 @@ class BaselineFunction(CompiledFunction):
         self.fn = fresh.fn
         self.metas = fresh.metas
         self.warnings = fresh.warnings
+        self._adopt_stable_deps(fresh)
         # The rebuild may legitimately come back staged (e.g. options
         # changed under us); keep whichever representation it has.
         self.code_object = getattr(fresh, "code_object", None)

@@ -39,6 +39,8 @@ class CompiledFunction:
         self.invalidated_reason = None
         self.deopt_count = 0
         self.compile_count = 1
+        # (obj, field) pairs of the @stable fields this code read.
+        self.stable_deps = ()
         # Set when this unit was stored in / loaded from the persistent
         # code cache; invalidation then reaches through to disk.
         self.persist_key = None
@@ -70,10 +72,19 @@ class CompiledFunction:
         self.source = fresh.source
         self.metas = fresh.metas
         self.warnings = fresh.warnings
+        self._adopt_stable_deps(fresh)
         self.valid = True
         self.invalidated_reason = None
         self.compile_count += 1
         return self
+
+    def _adopt_stable_deps(self, fresh):
+        """The rebuild registered the throwaway ``fresh`` unit on the
+        @stable fields its code read; this unit runs that code now, so
+        it is the one a later write must invalidate."""
+        self.stable_deps = fresh.stable_deps
+        for obj, field in fresh.stable_deps:
+            obj.add_stable_dep(field, self, replaces=fresh)
 
     # -- execution ----------------------------------------------------------------
 

@@ -149,11 +149,11 @@ class CompileOptions:
     persist: bool = True
     cache_budget_bytes: int = 64 << 20
 
-    # Asynchronous CompileService: > 0 starts that many background
-    # compile workers, and tier promotions / make_hot background
-    # compiles enqueue instead of compiling inline (the hot path keeps
-    # running at the current tier until the result lands). 0 = compile
-    # synchronously (the PR 3 behavior).
+    # Background compilation: > 0 gives the VM a private CompileServer
+    # with that many workers, and tier promotions, OSR, trace installs
+    # and prefetches enqueue instead of compiling inline (the hot path
+    # keeps running at the current tier until the result lands).
+    # 0 = compile synchronously.
     compile_workers: int = 0
 
     # Treat compilation warnings as errors.

@@ -59,6 +59,9 @@ class DeliteRuntime:
         self.parsafe_fallbacks = 0       # unproven ops demoted to seq
         self.parsafe_checks = 0          # sanitized chunked launches
         self._np_cache = {}
+        # id(guest closure) -> Kernel; the kernel holds its closure, so
+        # the id stays unique while the entry lives.
+        self.kernels = {}
         self.telemetry = None            # set by repro.jit.api.Lancet
 
     def configure(self, backend, cores=1):

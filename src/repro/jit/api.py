@@ -68,10 +68,9 @@ class Lancet:
         # Tier machinery: unit registry, deopt-driven demotion, and OSR
         # tier-up off interpreter loop back-edges.
         self.tiers = TierController(self)
-        # Persistent code cache (warm starts across processes) and the
-        # asynchronous CompileService; both off by default. Creation is
-        # best-effort: a bad cache dir disables persistence, it never
-        # fails VM construction.
+        # Persistent code cache (warm starts across processes), off by
+        # default. Creation is best-effort: a bad cache dir disables
+        # persistence, it never fails VM construction.
         import os as _os
         self.codecache = None
         if (self.options.cache_dir and self.options.persist
@@ -81,17 +80,21 @@ class Lancet:
                 self.options.cache_dir,
                 budget_bytes=self.options.cache_budget_bytes,
                 telemetry=self.telemetry)
-        self.compile_service = None
+        # The asynchronous compile queue: a private CompileServer when
+        # compile_workers > 0, or a shared one via attach_compile_server()
+        # or REPRO_COMPILE_SERVER=<cache-dir> (every Lancet in the
+        # process becomes a tenant of one server over that directory).
+        # Without one, every compile is synchronous.
+        self.compile_server = None
+        self.compile_tenant = None
+        self._owns_server = False
         if self.options.compile_workers > 0:
-            from repro.codecache import CompileService
-            self.compile_service = CompileService(
+            from repro.server import CompileServer
+            self.compile_server = CompileServer(
                 workers=self.options.compile_workers,
                 telemetry=self.telemetry)
-        # Compile-server client: attach explicitly via
-        # attach_compile_server(), or process-wide via
-        # REPRO_COMPILE_SERVER=<cache-dir> (every Lancet in the process
-        # becomes a tenant of one shared server over that directory).
-        self.compile_server = None
+            self.compile_tenant = self.compile_server.register_tenant()
+            self._owns_server = True
         self.loaded_sources = []   # (source, module), for manifest export
         server_dir = _os.environ.get("REPRO_COMPILE_SERVER")
         if server_dir:
@@ -191,26 +194,25 @@ class Lancet:
                                           policy=policy)
 
     def prefetch(self, class_name, method_name, tier=None):
-        """Warm a unit ahead of use. With an async compiler (a local
-        CompileService or an attached compile server) this submits at the
-        lowest priority and returns the request handle. **Without one it
-        degrades to a synchronous persistent-cache probe**: a warm-start
-        lookup only — a cached unit is rehydrated and installed, but a
-        cold miss never triggers a compile. Returns the CompiledFunction
-        on a synchronous warm hit, ``None`` on a cold miss with no
-        service."""
+        """Warm a unit ahead of use. With an open compile server this
+        submits at the lowest priority and returns the request handle.
+        **Without one it degrades to a synchronous persistent-cache
+        probe**: a warm-start lookup only — a cached unit is rehydrated
+        and installed, but a cold miss never triggers a compile. Returns
+        the CompiledFunction on a synchronous warm hit, ``None`` on a
+        cold miss with no server."""
         from repro.pipeline.tiers import tier_options
         opts = (tier_options(self.options, tier)
                 if tier is not None else self.options)
-        service = self.async_compiler
-        if service is None:
+        server = self.async_compiler
+        if server is None:
             return self._prefetch_probe(class_name, method_name, opts)
-        from repro.codecache.service import PRIORITY_PREFETCH
-        return service.submit(
+        from repro.server import PRIORITY_PREFETCH
+        return server.submit(
             ("prefetch", class_name, method_name, opts.tier),
             lambda: self.compile_function(class_name, method_name,
                                           options=opts),
-            priority=PRIORITY_PREFETCH)
+            priority=PRIORITY_PREFETCH, tenant=self.compile_tenant)
 
     def _prefetch_probe(self, class_name, method_name, opts):
         """Synchronous prefetch fallback: warm-start lookup only, no
@@ -241,26 +243,32 @@ class Lancet:
         cache is replaced by the server's sharded store (one tenant's
         compile is every tenant's warm hit), and async compiles — tier
         promotions, OSR, traces, prefetch — route through the server's
-        fair bounded queue. The local CompileService (if any) is kept as
-        the fallback for a server that dies mid-flight.
-
-        Returns the :class:`~repro.server.client.ServerClient`.
+        fair bounded queue. A server this VM owned is closed. Returns
+        ``server``.
         """
-        from repro.server.client import ServerClient
-        self.compile_server = ServerClient(self, server, tenant=tenant)
+        if self._owns_server:
+            self.compile_server.close()
+        self.compile_server = server
+        self._owns_server = False
+        self.compile_tenant = server.register_tenant(tenant)
         if server.store is not None:
             self.codecache = server.store
-        return self.compile_server
+        return server
 
     @property
     def async_compiler(self):
-        """The live asynchronous compile sink: the compile-server client
-        while the server is up, else the local CompileService, else
-        ``None`` (callers then compile synchronously or skip)."""
-        client = self.compile_server
-        if client is not None and client.alive:
-            return client
-        return self.compile_service
+        """The compile server while it is open, else ``None``: callers
+        then take the synchronous compile path (or skip). A closed
+        server's fallback is counted as ``server.fallback``."""
+        server = self.compile_server
+        if server is None:
+            return None
+        if server.closed:
+            self.telemetry.inc("server.fallback")
+            self.telemetry.record("server.fallback",
+                                  tenant=self.compile_tenant)
+            return None
+        return server
 
     def export_manifest(self, path):
         """Write this VM's warm-start manifest (loaded sources + compiled
@@ -280,14 +288,14 @@ class Lancet:
         return self.tiers.traces
 
     def close(self):
-        """Shut down background machinery (compile workers). Safe to
-        call more than once; the VM stays usable (compiles turn
-        synchronous). Detaches from a compile server without closing it
-        — the server outlives its tenants by design."""
-        if self.compile_service is not None:
-            self.compile_service.close()
-            self.compile_service = None
+        """Shut down background compilation. Safe to call more than
+        once; the VM stays usable (compiles turn synchronous). Closes a
+        server this VM owns and only detaches from a shared one — that
+        server outlives its tenants by design."""
+        if self._owns_server:
+            self.compile_server.close()
         self.compile_server = None
+        self._owns_server = False
 
     # -- internals -------------------------------------------------------------------
 
@@ -337,14 +345,15 @@ class Lancet:
                 return compiled
 
             def coordinated():
-                # Cross-VM single-flight: when attached to a compile
-                # server, the first tenant to want this fingerprint
-                # compiles it; tenants arriving mid-compile wait and
-                # rehydrate from the then-warm shared store.
-                client = self.compile_server
-                if client is not None and client.alive:
-                    return client.coordinate(fingerprint, load_or_build)
-                return load_or_build()
+                # Cross-VM single-flight: with a compile server, the
+                # first tenant to want this fingerprint compiles it;
+                # tenants arriving mid-compile wait and rehydrate from
+                # the then-warm shared store.
+                server = self.compile_server
+                if server is None:
+                    return load_or_build()
+                return server.coordinate(fingerprint, load_or_build,
+                                         tenant=self.compile_tenant)
 
             return self.unit_cache.get_or_else_update(key, coordinated)
         return self.unit_cache.get_or_else_update(key, rebuild)
@@ -448,6 +457,7 @@ class Lancet:
         report.warnings = len(compiled.warnings)
         compiled.report = report
         compiled.tier = options.tier
+        compiled.stable_deps = result.stable_deps
         for obj, field in result.stable_deps:
             obj.add_stable_dep(field, compiled)
         self.compile_log.append((name, compiled))
@@ -658,10 +668,9 @@ class Lancet:
                        if self.tiers.traces is not None
                        else {"enabled": False}),
             "codecache": codecache,
-            "compile_service": (self.compile_service.stats()
-                                if self.compile_service is not None
-                                else None),
-            "server": (self.compile_server.stats()
+            "server": (dict(self.compile_server.stats(),
+                            tenant=self.compile_tenant,
+                            fallbacks=m.get("server.fallback"))
                        if self.compile_server is not None
                        else None),
             "invalidations": m.get("invalidations"),

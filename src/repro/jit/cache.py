@@ -278,7 +278,7 @@ def make_jit(jit, class_name, method_name, cache=None):
 
 
 def make_hot(jit, class_name, method_name, threshold=2, cache=None,
-             background=False, tiered=False, service=None):
+             background=False, tiered=False):
     """Like :func:`make_jit`, but only compiles a variant after its first
     argument has been seen ``threshold`` times; colder values run in the
     interpreter (amortizing compilation cost, paper's ``calcHOT``).
@@ -291,10 +291,7 @@ def make_hot(jit, class_name, method_name, threshold=2, cache=None,
     exactly once even when the threshold crossing races another caller or
     an LRU eviction re-triggers the hot path. Results land through
     :meth:`CodeCache.put_if`, so a compile whose key was evicted or
-    flushed mid-flight is discarded instead of re-inserted. Passing a
-    :class:`~repro.codecache.CompileService` as ``service`` routes the
-    background compiles through its shared priority-queue worker pool
-    instead of spawning one ad-hoc thread per variant.
+    flushed mid-flight is discarded instead of re-inserted.
 
     With ``tiered=True``, hot variants ride the tier ladder instead of
     compiling at full strength immediately: the ``threshold``-th sighting
@@ -353,20 +350,6 @@ def make_hot(jit, class_name, method_name, threshold=2, cache=None,
             with lock:
                 in_flight.discard(x)
                 pending.pop(x, None)
-
-        if service is not None:
-            from repro.codecache.service import PRIORITY_TIER1
-            req = service.submit(
-                ("hot", class_name, method_name, x),
-                lambda: compile_variant(x),
-                priority=PRIORITY_TIER1,
-                on_complete=lambda compiled: (_land(compiled), _finish()),
-                on_error=lambda exc: _finish())
-            if req.rejected:     # saturated/blacklisted: stay interpreted
-                _finish()
-            else:
-                pending[x] = req
-            return
 
         def task():
             try:

@@ -51,24 +51,24 @@ Event kinds emitted by the built-in instrumentation::
     codecache.store / codecache.skip (entry persisted / unpersistable)
     codecache.quarantine     (corrupt on-disk entry sidelined, clean miss)
     codecache.evict / codecache.invalidate  (size-budget LRU, stale code)
-    compileq.submit / compileq.done / compileq.shed / compileq.retry
-    compileq.fail / compileq.timeout / compileq.blacklist
-                             (asynchronous CompileService lifecycle; the
-                             queue depth is the ``compileq.depth`` gauge)
-    server.attach            (a Lancet VM became a tenant)
-    server.submit / server.done / server.fail
-                             (multi-tenant CompileServer lifecycle; the
-                             queue depth is the ``server.queue_depth``
-                             gauge, and ``stats()["server"]`` includes
-                             the dedup ratio)
+    server.attach            (a Lancet VM became a tenant, of its own
+                             or a shared CompileServer)
+    server.submit / server.done / server.fail / server.discard
+                             (compile-queue lifecycle; the queue depth
+                             is the ``server.queue_depth`` gauge, and
+                             ``stats()["server"]`` includes the dedup
+                             ratio and the blacklisted keys)
+    server.fallback          (the VM's server is closed: the compile
+                             runs synchronously instead; counted)
     server.dedup / server.dedup_wait
                              (cross-VM dedup: a queued follower joined
                              a leader / a synchronous tenant waited on
                              another tenant's in-flight compile)
     server.inherit           (priority inheritance: an urgent follower
                              raised a queued leader's priority)
-    server.shed / server.reject  (admission control: backpressure drop,
-                             queue-full or per-tenant-cap refusal)
+    server.shed / server.reject  (admission control: backpressure drop;
+                             queue-full, per-tenant-cap or blacklisted
+                             refusal)
     server.batch             (a worker took several consecutive requests
                              from one tenant in a single turn)
     server.warm              (manifest prewarming replayed into the store)

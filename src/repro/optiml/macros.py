@@ -43,14 +43,16 @@ def _static_closure(ctx, rep):
     return closure if isinstance(closure, Obj) else None
 
 
-def _kernel_for(ctx, closure_rep, cache={}):
+def _kernel_for(ctx, closure_rep):
+    """The kernel for a static closure argument, memoized per VM."""
     closure = _static_closure(ctx, closure_rep)
     if closure is None:
         return None
-    hit = cache.get(id(closure))
+    kernels = ctx.vm.delite.kernels
+    hit = kernels.get(id(closure))
     if hit is None:
         hit = Kernel.from_closure(ctx.vm.jit, closure)
-        cache[id(closure)] = hit
+        kernels[id(closure)] = hit
     return hit
 
 

@@ -207,15 +207,15 @@ class TieredFunction:
                    from_tier=from_tier, to_tier=to_tier,
                    calls=self._observed_calls(), background=background)
 
-    def _request_promotion(self, to_tier, service, priority=None):
-        """Enqueue the promotion compile on the CompileService; execution
+    def _request_promotion(self, to_tier, server, priority=None):
+        """Enqueue the promotion compile on the compile server; execution
         keeps running at the current tier until the result lands. The
         generation check makes a demotion (or blacklist) that happened
         mid-compile win over the stale result. ``priority`` defaults by
         target tier; OSR passes ``PRIORITY_OSR`` (a loop is hot *now*)."""
         if self._pending_tier is not None and self._pending_tier >= to_tier:
             return
-        from repro.codecache.service import PRIORITY_TIER1, PRIORITY_TIER2
+        from repro.server import PRIORITY_TIER1, PRIORITY_TIER2
         if priority is None:
             priority = (PRIORITY_TIER2 if to_tier >= TIER2
                         else PRIORITY_TIER1)
@@ -244,13 +244,13 @@ class TieredFunction:
             if self._pending_tier == to_tier:
                 self._pending_tier = None
 
-        req = service.submit(
+        req = server.submit(
             ("promote", self.qualified_name, to_tier),
             lambda: self._build(to_tier),
-            priority=priority,
+            priority=priority, tenant=self.jit.compile_tenant,
             on_complete=install, on_error=clear)
         if req.rejected:
-            # Saturated or blacklisted service: degrade gracefully, stay
+            # Saturated or blacklisted key: degrade gracefully, stay
             # at the current tier and try again on a later call.
             self._pending_tier = None
 
@@ -264,10 +264,11 @@ class TieredFunction:
         # result when it lands (and cancel it if still queued).
         self._promotion_gen += 1
         self._pending_tier = None
-        service = self.jit.async_compiler
-        if service is not None:
+        server = self.jit.compile_server
+        if server is not None:
             for target in (TIER1, TIER2):
-                service.cancel(("promote", self.qualified_name, target))
+                server.cancel(("promote", self.qualified_name, target),
+                              tenant=self.jit.compile_tenant)
         if from_tier >= TIER2:
             self.tier = TIER1
             self.max_tier = TIER1
@@ -301,12 +302,12 @@ class TieredFunction:
                                                self._observed_calls()),
                          self.max_tier)
             if target > self.tier:
-                service = self.jit.async_compiler
-                if service is not None:
+                server = self.jit.async_compiler
+                if server is not None:
                     # Asynchronous promotion: enqueue and keep executing
                     # at the current tier; the compile never blocks the
                     # hot path.
-                    self._request_promotion(target, service)
+                    self._request_promotion(target, server)
                 else:
                     self._promote(target)
         compiled = self.compiled
@@ -385,15 +386,15 @@ class TierController:
         if count < self.policy.osr_threshold:
             return None
 
-        service = self.jit.async_compiler
-        if service is not None:
+        server = self.jit.async_compiler
+        if server is not None:
             # Asynchronous mode: never stall the loop for a compile.
             # Enqueue a top-priority promotion of the owning unit; this
             # iteration keeps interpreting and the *next call* (or a
             # later back-edge, once the compile lands) runs compiled.
             if owner.tier < TIER2:
-                from repro.codecache.service import PRIORITY_OSR
-                owner._request_promotion(TIER2, service,
+                from repro.server import PRIORITY_OSR
+                owner._request_promotion(TIER2, server,
                                          priority=PRIORITY_OSR)
             return None
 
@@ -447,13 +448,13 @@ class TierController:
             return False
         if vm.profiler.backedge_count(*site) < self.policy.osr_threshold:
             return False
-        service = self.jit.async_compiler
-        if service is not None:
+        server = self.jit.async_compiler
+        if server is not None:
             # Asynchronous mode: never stall the loop for a compile —
             # enqueue a top-priority promotion and keep running baseline.
             if owner.tier < TIER2:
-                from repro.codecache.service import PRIORITY_OSR
-                owner._request_promotion(TIER2, service,
+                from repro.server import PRIORITY_OSR
+                owner._request_promotion(TIER2, server,
                                          priority=PRIORITY_OSR)
             return False
         return True

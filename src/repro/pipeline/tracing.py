@@ -14,7 +14,7 @@ loop body whose back-edge jumps to itself) with block parameters for the
 loop-carried locals and ``DeoptMeta`` snapshots at every guard. It then
 flows through the very same machinery as a method unit — the PassManager
 (so GVN/LICM/range-guard-pruning run on traces for free), the Python
-backend, the unit cache, the CompileService, and the persistent code
+backend, the unit cache, the compile server, and the persistent code
 cache. A guard failure raises the ordinary ``DeoptException``; the
 wrapper rebuilds interpreter frames *rooted at the loop method* and
 resumes, so a trace exit completes the remaining method execution
@@ -724,12 +724,13 @@ class TraceManager:
         self.traces[site] = trace
         name = self._unit_name(site)
 
-        service = self.jit.async_compiler
-        if service is not None:
-            req = service.submit(
+        server = self.jit.async_compiler
+        if server is not None:
+            from repro.server import PRIORITY_OSR
+            req = server.submit(
                 ("trace",) + site,
                 lambda: self._compile_trace(trace, name),
-                priority=self._priority(),
+                priority=PRIORITY_OSR, tenant=self.jit.compile_tenant,
                 on_complete=lambda compiled: self._install(trace, compiled),
                 on_error=lambda error: self._compile_failed(trace, error))
             if not req.rejected:
@@ -740,11 +741,6 @@ class TraceManager:
             self._compile_failed(trace, exc)
             return
         self._install(trace, compiled)
-
-    @staticmethod
-    def _priority():
-        from repro.codecache.service import PRIORITY_OSR
-        return PRIORITY_OSR
 
     def _compile_trace(self, trace, name):
         """Run the trace's CompileResult through the ordinary pipeline:

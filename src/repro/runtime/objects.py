@@ -86,12 +86,15 @@ class Obj:
                                     % (self.cls.name, name))
         self.fields[name] = value
 
-    def add_stable_dep(self, field_name, compiled):
+    def add_stable_dep(self, field_name, compiled, replaces=None):
         """Register compiled code that must be invalidated when
-        ``field_name`` (declared @stable) is written."""
+        ``field_name`` (declared @stable) is written, in place of
+        ``replaces`` when given."""
         if self._stable_deps is None:
             self._stable_deps = {}
-        self._stable_deps.setdefault(field_name, set()).add(compiled)
+        deps = self._stable_deps.setdefault(field_name, set())
+        deps.discard(replaces)
+        deps.add(compiled)
 
     def __repr__(self):
         return "<%s obj %s>" % (self.cls.name, self.fields)

@@ -3,19 +3,17 @@
 The paper's surgical-precision JITs pay their compile cost once per
 program *shape*; a fleet of Lancet VMs running the same program should
 pay it once per **fleet**. This package is that economics, built on
-PR 4's content-addressed fingerprints (bit-identical units across
-tenants hash to the same key):
+content-addressed fingerprints (bit-identical units across tenants hash
+to the same key):
 
 * :mod:`repro.server.shards` — :class:`ShardedCodeCache`, N persistent
   code-cache shards keyed by fingerprint prefix so concurrent tenants
   don't serialize on one store;
-* :mod:`repro.server.daemon` — :class:`CompileServer`, the multi-tenant
-  daemon: cross-VM in-flight dedup (sync + async), bounded fair queue
-  with priority inheritance and shed-lowest-first backpressure, batched
-  scheduling, manifest prewarming;
-* :mod:`repro.server.client` — :class:`ServerClient`, the per-VM shim
-  that speaks the CompileService surface and falls back to the local
-  service when the server dies;
+* :mod:`repro.server.daemon` — :class:`CompileServer`, the one
+  asynchronous compile queue, private to a VM or shared by many:
+  cross-VM in-flight dedup (sync + async), bounded fair queue with
+  priority inheritance and shed-lowest-first backpressure, failure
+  blacklisting, batched scheduling, manifest prewarming;
 * :mod:`repro.server.manifest` — record a fleet's compiled shape,
   replay it into a fresh store (``repro serve --warm``).
 
@@ -23,16 +21,21 @@ Attach with ``jit.attach_compile_server(server)`` or process-wide via
 ``REPRO_COMPILE_SERVER=<cache-dir>``.
 """
 
-from repro.server.client import ServerClient
-from repro.server.daemon import (CompileServer, close_shared_servers,
-                                 shared_server)
+from repro.server.daemon import (PRIORITY_OSR, PRIORITY_PREFETCH,
+                                 PRIORITY_TIER1, PRIORITY_TIER2,
+                                 CompileRequest, CompileServer,
+                                 close_shared_servers, shared_server)
 from repro.server.manifest import (build_manifest, load_manifest,
                                    warm_from_manifest, write_manifest)
 from repro.server.shards import ShardedCodeCache
 
 __all__ = [
+    "CompileRequest",
     "CompileServer",
-    "ServerClient",
+    "PRIORITY_OSR",
+    "PRIORITY_PREFETCH",
+    "PRIORITY_TIER1",
+    "PRIORITY_TIER2",
     "ShardedCodeCache",
     "build_manifest",
     "close_shared_servers",

@@ -1,15 +1,18 @@
-"""The multi-tenant compile server.
+"""The compile server: the one asynchronous compile queue.
 
-One long-running :class:`CompileServer` serves many Lancet VMs
-("tenants") instead of each running a private CompileService. The
-economics: PR 4's content fingerprints make compiled units bit-identical
-across tenants running the same program, so the fleet should pay each
-compile **once** — the first tenant compiles, everyone else rehydrates
-from the shared sharded store.
+Every background compile (tier promotions, OSR, trace installs,
+prefetch) goes through a :class:`CompileServer`, the paper's ``makeHOT``
+"submitting the actual compilation as a task to a worker thread". A VM
+built with ``CompileOptions(compile_workers=N)`` owns a private server
+(no store, one tenant); ``jit.attach_compile_server`` makes it a tenant
+of a shared one instead. Sharing pays because content fingerprints make
+compiled units bit-identical across tenants running the same program:
+the first tenant compiles, everyone else rehydrates from the shared
+sharded store.
 
 Four mechanisms, layered:
 
-* **shared sharded store** — the server owns a
+* **shared sharded store** — given a ``cache_dir``, the server owns a
   :class:`~repro.server.shards.ShardedCodeCache`; attaching a tenant
   points its ``codecache`` at it, so ordinary warm-start lookups become
   fleet-wide.
@@ -28,24 +31,25 @@ Four mechanisms, layered:
     inheritance): an OSR request joining a queued prefetch for the same
     unit drags that compile to the front.
 
-* **admission control** — the queue is bounded globally (shed the
-  lowest-priority queued request when a strictly more urgent one
-  arrives, reject otherwise) and per tenant (one hot VM exhausting its
-  slice is rejected — and falls back to its local service/interpreter —
-  instead of starving the fleet).
+* **admission control** — the queue is bounded globally and per
+  tenant. At either bound a strictly more urgent arrival sheds the
+  lowest-priority queued request (the tenant's own, at its cap), and
+  anything else is rejected: one hot VM exhausting its slice is refused
+  instead of starving the fleet. A key whose compile failed
+  :data:`BLACKLIST_AFTER` times is refused outright, so a poisoned unit
+  cannot recompile on every call.
 * **fair batched scheduling** — workers drain priorities in order;
   within a priority, tenants are served round-robin, and a worker grabs
-  up to ``batch_max`` consecutive requests from the tenant whose turn
-  it is (one scheduling decision, several compiles — the whole batch
-  counts against that tenant's turn).
+  up to :data:`BATCH_MAX` consecutive requests from the tenant whose
+  turn it is (one scheduling decision, several compiles — the whole
+  batch counts against that tenant's turn).
 
 ``workers=0`` runs the server in *manual-drain* mode (:meth:`drain`),
 used by deterministic tests and one-shot prewarming.
 
-Requests never retry here: transient-failure retry/backoff/blacklist
-policy stays in the per-VM CompileService; the server reports failures
-to the submitting tenant, whose fallback is its own service or the
-interpreter.
+Requests never retry: a failed, shed or refused request is reported to
+its submitter (``on_error`` fires once), whose fallback is the
+interpreter or its current tier, and which re-requests on a later call.
 """
 
 from __future__ import annotations
@@ -55,38 +59,99 @@ import threading
 import time
 from collections import OrderedDict, deque
 
-from repro.codecache.service import (CANCELLED, DONE, FAILED, REJECTED,
-                                     RUNNING, CompileRequest,
-                                     PRIORITY_TIER1)
 from repro.observability import Telemetry
 from repro.server.shards import DEFAULT_SHARDS, ShardedCodeCache
+
+#: Priorities, best first. Lower value = more urgent.
+PRIORITY_OSR = 0        # a hot loop is waiting mid-execution
+PRIORITY_TIER2 = 1      # tier-2 optimizing promotion
+PRIORITY_TIER1 = 2      # tier-1 quick compile
+PRIORITY_PREFETCH = 3   # speculative warm-up
+
+#: Queued requests across all tenants.
+QUEUE_LIMIT = 128
+#: Queued requests of one tenant.
+PER_TENANT_LIMIT = 32
+#: Consecutive requests one tenant's round-robin turn may take.
+BATCH_MAX = 4
+#: Failed compiles after which a key is refused at submit.
+BLACKLIST_AFTER = 3
+#: Seconds a :meth:`CompileServer.coordinate` waiter trusts its leader.
+SYNC_WAIT_TIMEOUT = 60.0
+
+QUEUED, RUNNING, DONE, FAILED, CANCELLED, REJECTED = (
+    "queued", "running", "done", "failed", "cancelled", "rejected")
+
+
+class CompileRequest:
+    """A handle on one submitted compilation. ``wait()`` for the result,
+    ``cancel()`` to drop interest; terminal states: done | failed |
+    cancelled | rejected."""
+
+    def __init__(self, key, fn, priority, tenant, on_complete=None,
+                 on_error=None):
+        self.key = key
+        self.fn = fn
+        self.priority = priority
+        self.tenant = tenant
+        self.on_complete = on_complete
+        self.on_error = on_error
+        self.followers = []     # same-key requests parked on this leader
+        self.state = QUEUED
+        self.result = None
+        self.error = None
+        self._event = threading.Event()
+
+    @property
+    def rejected(self):
+        return self.state == REJECTED
+
+    @property
+    def finished(self):
+        return self._event.is_set()
+
+    def cancel(self):
+        """Drop interest: a queued request never runs; a running one has
+        its result discarded. Callbacks are not invoked."""
+        if not self._event.is_set() or self.state == RUNNING:
+            self.state = CANCELLED
+            self._event.set()
+
+    def wait(self, timeout=None):
+        """Block until the request reaches a terminal state (or
+        ``timeout`` elapses); returns the compiled result or ``None``."""
+        self._event.wait(timeout)
+        return self.result if self.state == DONE else None
+
+    def _finish(self, state, result=None, error=None):
+        self.state = state
+        self.result = result
+        self.error = error
+        self._event.set()
+
+    def __repr__(self):
+        return "<CompileRequest %r %s prio=%d tenant=%s>" % (
+            self.key, self.state, self.priority, self.tenant)
 
 
 class CompileServer:
     """A compile daemon: sharded store + fair bounded queue + dedup."""
 
     def __init__(self, cache_dir=None, shards=DEFAULT_SHARDS, workers=2,
-                 queue_limit=128, per_tenant_limit=32, batch_max=4,
-                 budget_bytes=64 << 20, telemetry=None, backend="python",
-                 sync_wait_timeout=60.0):
+                 telemetry=None):
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.store = None
         if cache_dir:
             self.store = ShardedCodeCache(cache_dir, shards=shards,
-                                          budget_bytes=budget_bytes,
-                                          telemetry=self.telemetry,
-                                          backend=backend)
+                                          telemetry=self.telemetry)
         self.workers = max(0, workers)
-        self.queue_limit = queue_limit
-        self.per_tenant_limit = per_tenant_limit
-        self.batch_max = max(1, batch_max)
-        self.sync_wait_timeout = sync_wait_timeout
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._queues = {}           # priority -> OrderedDict(tenant -> deque)
         self._depth = 0
         self._tenant_depth = {}     # tenant -> queued count
         self._inflight = {}         # key -> leader request (queued|running)
+        self._failures = {}         # key -> failed compiles
         self._threads = []
         self._worker_idents = set()
         self._closed = False
@@ -130,19 +195,20 @@ class CompileServer:
 
     def submit(self, key, fn, priority=PRIORITY_TIER1, tenant="anon",
                on_complete=None, on_error=None):
-        """Enqueue ``fn`` under ``key`` for ``tenant``. Never raises,
-        never blocks; check ``request.rejected`` for admission refusal
-        (the tenant's fallback is its local service or the interpreter).
+        """Enqueue ``fn`` (a zero-argument compile callable) under
+        ``key`` for ``tenant``. Never raises, never blocks; check
+        ``request.rejected`` for admission refusal (the tenant's
+        fallback is the interpreter or its current tier).
         """
-        req = CompileRequest(key, fn, priority, on_complete=on_complete,
-                             on_error=on_error)
-        req.tenant = tenant
-        req.followers = []
+        req = CompileRequest(key, fn, priority, tenant,
+                             on_complete=on_complete, on_error=on_error)
         shed = []
         with self._cv:
             if self._closed:
                 req._finish(REJECTED, error="server closed")
                 return req
+            if self._failures.get(key, 0) >= BLACKLIST_AFTER:
+                return self._reject_locked(req, "blacklisted")
             leader = self._inflight.get(key)
             if leader is not None and not leader.finished:
                 # Cross-VM dedup: park on the leader; run after it, when
@@ -156,28 +222,28 @@ class CompileServer:
                 self._event("server.dedup", key=repr(key), tenant=tenant,
                             leader_tenant=leader.tenant)
                 return req
-            if self._tenant_depth.get(tenant, 0) >= self.per_tenant_limit:
-                self.rejected += 1
-                req._finish(REJECTED, error="tenant queue full")
-                self._event("server.reject", key=repr(key), tenant=tenant,
-                            reason="tenant-cap")
-                return req
-            if self._depth >= self.queue_limit:
+            if self._tenant_depth.get(tenant, 0) >= PER_TENANT_LIMIT:
+                shed = self._shed_for_locked(priority, tenant)
+                if not shed:
+                    return self._reject_locked(req, "tenant queue full")
+            elif self._depth >= QUEUE_LIMIT:
                 shed = self._shed_for_locked(priority)
                 if not shed:
-                    self.rejected += 1
-                    req._finish(REJECTED, error="queue full")
-                    self._event("server.reject", key=repr(key),
-                                tenant=tenant, reason="queue-full")
-                    return req
+                    return self._reject_locked(req, "queue full")
             self._enqueue_locked(req)
             self.submits += 1
             self._event("server.submit", key=repr(key), tenant=tenant,
                         priority=priority, depth=self._depth)
             self._ensure_workers()
             self._cv.notify()
-        for victim in shed:
-            self._notify_error(victim)
+        self._fail(shed, "shed under backpressure")
+        return req
+
+    def _reject_locked(self, req, reason):
+        self.rejected += 1
+        req._finish(REJECTED, error=reason)
+        self._event("server.reject", key=repr(req.key), tenant=req.tenant,
+                    reason=reason)
         return req
 
     def _enqueue_locked(self, req):
@@ -217,40 +283,37 @@ class CompileServer:
             self._event("server.inherit", key=repr(leader.key),
                         priority=priority)
 
-    def _shed_for_locked(self, priority):
-        """Backpressure: unlink and fail the newest request of the least
-        urgent nonempty priority strictly below ``priority``. Followers
-        parked on the victim are shed with it — their fingerprint never
-        compiles here, so they must fail back to their tenants' local
-        fallbacks, not wait forever. Returns the list of failed requests
-        (caller fires their on_error outside the lock); [] when nothing
-        is less urgent."""
+    def _shed_for_locked(self, priority, tenant=None):
+        """Backpressure: unlink the newest request of the least urgent
+        nonempty priority strictly below ``priority`` (only ``tenant``'s
+        requests when given: a tenant at its cap sheds its own). Followers
+        parked on the victim go with it — their key never compiles here,
+        so they must fail back to their tenants, not wait forever. Returns
+        the requests to fail (the caller does, outside the lock); []
+        when nothing is less urgent."""
         for prio in sorted(self._queues, reverse=True):
             if prio <= priority:
                 break
             by_tenant = self._queues[prio]
-            if not by_tenant:
+            owners = [t for t in (by_tenant if tenant is None else (tenant,))
+                      if by_tenant.get(t)]
+            if not owners:
                 continue
             # Shed from the tenant hogging the most of this priority.
-            tenant = max(by_tenant, key=lambda t: len(by_tenant[t]))
-            victim = by_tenant[tenant].pop()
-            if not by_tenant[tenant]:
-                del by_tenant[tenant]
+            owner = max(owners, key=lambda t: len(by_tenant[t]))
+            victim = by_tenant[owner].pop()
+            if not by_tenant[owner]:
+                del by_tenant[owner]
             self._depth -= 1
-            self._tenant_depth[tenant] -= 1
+            self._tenant_depth[owner] -= 1
             self._inflight.pop(victim.key, None)
-            victim._finish(FAILED, error="shed under backpressure")
-            failed = [victim]
-            for f in victim.followers:
-                if not f.finished:
-                    f._finish(FAILED, error="shed under backpressure")
-                    failed.append(f)
+            shed = [victim] + [f for f in victim.followers if not f.finished]
             victim.followers = []
-            self.shed += len(failed)
+            self.shed += len(shed)
             self._gauge_depth_locked()
-            self._event("server.shed", key=repr(victim.key), tenant=tenant,
-                        priority=prio, followers=len(failed) - 1)
-            return failed
+            self._event("server.shed", key=repr(victim.key), tenant=owner,
+                        priority=prio, followers=len(shed) - 1)
+            return shed
         return []
 
     def cancel(self, key, tenant=None):
@@ -269,8 +332,8 @@ class CompileServer:
     # -- scheduling ------------------------------------------------------------
 
     def _pop_batch_locked(self):
-        """The next batch: up to ``batch_max`` requests from the tenant
-        whose round-robin turn it is, at the most urgent nonempty
+        """The next batch: up to :data:`BATCH_MAX` requests from the
+        tenant whose round-robin turn it is, at the most urgent nonempty
         priority. Returns [] when idle."""
         for prio in sorted(self._queues):
             by_tenant = self._queues[prio]
@@ -280,7 +343,7 @@ class CompileServer:
                     del by_tenant[tenant]
                     continue
                 batch = []
-                while dq and len(batch) < self.batch_max:
+                while dq and len(batch) < BATCH_MAX:
                     batch.append(dq.popleft())
                 if dq:
                     by_tenant.move_to_end(tenant)
@@ -336,70 +399,77 @@ class CompileServer:
 
     def _run_one(self, req):
         if req.finished:
-            # Cancelled while queued (e.g. via the public
-            # CompileRequest.cancel() handle, which bypasses
-            # CompileServer.cancel): followers must still run.
-            with self._cv:
-                if self._inflight.get(req.key) is req:
-                    self._inflight.pop(req.key, None)
-                self._adopt_followers_locked(req)
-                if self._depth:
-                    self._cv.notify()
+            # Cancelled through its CompileRequest handle while queued
+            # (bypassing CompileServer.cancel): followers must still run.
+            self._unlink(req)
             return
         req.state = RUNNING
-        req.attempts += 1
         t0 = time.perf_counter()
         try:
-            result = req.fn()
+            result, error = req.fn(), None
         except Exception as exc:
-            self._finish(req, FAILED, error=str(exc))
-            return
+            result, error = None, str(exc)
         if req.state == CANCELLED:
-            self._finish(req, CANCELLED, discard=True)
-            return
-        self.telemetry.observe("server.run", time.perf_counter() - t0)
-        self._finish(req, DONE, result=result)
-
-    def _adopt_followers_locked(self, req):
-        """Re-enqueue a finished leader's followers: the store is warm
-        now, so each follower's compile collapses to a rehydrate. The
-        first follower becomes the key's new in-flight entry (later
-        submits dedup onto it)."""
-        followers = req.followers
-        req.followers = []
-        for f in followers:
-            if not f.finished:
-                self._enqueue_locked(f)
-        return followers
-
-    def _finish(self, req, state, result=None, error=None, discard=False):
-        with self._cv:
-            if self._inflight.get(req.key) is req:
-                self._inflight.pop(req.key, None)
-            self._adopt_followers_locked(req)
-            if self._depth:
-                self._cv.notify()
-        if discard:
+            self._unlink(req)
             self._event("server.discard", key=repr(req.key),
                         tenant=req.tenant)
-            return
-        if state == DONE:
+        elif error is not None:
+            self._unlink(req, FAILED)
+            req._finish(FAILED, error=error)
+            self._event("server.fail", key=repr(req.key), tenant=req.tenant,
+                        error=error)
+            self._notify_error(req)
+        else:
+            self._unlink(req, DONE)
+            self.telemetry.observe("server.run", time.perf_counter() - t0)
             req._finish(DONE, result=result)
-            self.completed += 1
-            self._event("server.done", key=repr(req.key), tenant=req.tenant,
-                        attempts=req.attempts)
+            self._event("server.done", key=repr(req.key), tenant=req.tenant)
             if req.on_complete is not None:
                 try:
                     req.on_complete(result)
                 except Exception as exc:    # callbacks must not kill workers
                     self._event("server.callback_error", key=repr(req.key),
                                 error=str(exc))
-        else:
-            req._finish(FAILED, error=error)
-            self.failed += 1
-            self._event("server.fail", key=repr(req.key), tenant=req.tenant,
-                        error=error)
-            self._notify_error(req)
+
+    def _unlink(self, req, outcome=None):
+        """A request left the queue for good: drop it from the in-flight
+        table, count its ``outcome`` (DONE or FAILED, when it ran and
+        was not cancelled; a failure also counts against its key), and
+        hand its followers on."""
+        with self._cv:
+            if self._inflight.get(req.key) is req:
+                self._inflight.pop(req.key, None)
+            if outcome == DONE:
+                self.completed += 1
+            elif outcome == FAILED:
+                self.failed += 1
+                self._failures[req.key] = self._failures.get(req.key, 0) + 1
+            orphans = self._adopt_followers_locked(req)
+            if self._depth:
+                self._cv.notify()
+        self._fail(orphans, "server closed")
+
+    def _adopt_followers_locked(self, req):
+        """Re-enqueue a finished leader's followers: the store is warm
+        now, so each follower's compile collapses to a rehydrate, and
+        the last one becomes the key's in-flight entry (later submits
+        dedup onto it). A closed server runs nothing more, so there the
+        followers are returned for the caller to fail."""
+        followers = [f for f in req.followers if not f.finished]
+        req.followers = []
+        if self._closed:
+            return followers
+        for f in followers:
+            self._enqueue_locked(f)
+        return []
+
+    def _fail(self, reqs, error):
+        """Fail requests that will never run and fire each one's
+        ``on_error`` once. Call without the lock held."""
+        for req in reqs:
+            if not req.finished:
+                req._finish(FAILED, error=error)
+                self._notify_error(req)
 
     def _notify_error(self, req):
         if req.on_error is not None:
@@ -420,8 +490,8 @@ class CompileServer:
 
         Never deadlocks: server worker threads and the leader's own
         thread (re-entrant compiles) run ``fn`` immediately; a waiter
-        abandoned past ``sync_wait_timeout`` (leader crashed hard)
-        compiles for itself.
+        abandoned past :data:`SYNC_WAIT_TIMEOUT` (leader crashed hard)
+        compiles for itself. A closed server just runs ``fn``.
         """
         if self._closed:
             return fn()
@@ -449,7 +519,7 @@ class CompileServer:
                 event.set()
         self._event("server.dedup_wait", fingerprint=fingerprint,
                     tenant=tenant)
-        event.wait(self.sync_wait_timeout)
+        event.wait(SYNC_WAIT_TIMEOUT)
         return fn()
 
     # -- prewarming ------------------------------------------------------------
@@ -474,28 +544,23 @@ class CompileServer:
         return self._closed
 
     def close(self, wait=True):
-        victims = []
+        """Stop the workers and fail every queued request (and its
+        followers) with ``on_error``; a running request finishes, and
+        its followers are failed when it does."""
         with self._cv:
             if self._closed:
                 return
             self._closed = True
-            for by_tenant in self._queues.values():
-                for dq in by_tenant.values():
-                    victims.extend(dq)
+            queued = [req for by_tenant in self._queues.values()
+                      for dq in by_tenant.values() for req in dq]
+            victims = queued + [f for req in queued for f in req.followers]
             self._queues.clear()
             self._depth = 0
             self._tenant_depth.clear()
             self._inflight.clear()
             self._gauge_depth_locked()
             self._cv.notify_all()
-        for req in victims:
-            if not req.finished:
-                req._finish(FAILED, error="server closed")
-                self._notify_error(req)
-            for f in req.followers:
-                if not f.finished:
-                    f._finish(FAILED, error="server closed")
-                    self._notify_error(f)
+        self._fail(victims, "server closed")
         if wait:
             for t in self._threads:
                 t.join(timeout=2.0)
@@ -507,14 +572,16 @@ class CompileServer:
             inflight = len(self._inflight)
             tenants = list(self._tenants)
             per_tenant = dict(self._tenant_depth)
+            blacklisted = sorted(repr(k) for k, n in self._failures.items()
+                                 if n >= BLACKLIST_AFTER)
         dedup = self.dedup_followers + self.dedup_waits
         demand = self.submits + self.dedup_waits
         return {
             "workers": self.workers,
             "closed": self._closed,
             "queue_depth": depth,
-            "queue_limit": self.queue_limit,
-            "per_tenant_limit": self.per_tenant_limit,
+            "queue_limit": QUEUE_LIMIT,
+            "per_tenant_limit": PER_TENANT_LIMIT,
             "queued_per_tenant": per_tenant,
             "in_flight": inflight,
             "tenants": tenants,
@@ -523,6 +590,7 @@ class CompileServer:
             "failed": self.failed,
             "shed": self.shed,
             "rejected": self.rejected,
+            "blacklisted": blacklisted,
             "dedup_followers": self.dedup_followers,
             "dedup_waits": self.dedup_waits,
             "dedup_ratio": (dedup / demand) if demand else 0.0,

@@ -90,8 +90,8 @@ def warm_from_manifest(manifest, store, options=None, telemetry=None):
                            % (manifest.get("version"), MANIFEST_VERSION)]}
     jit = Lancet(options=options, telemetry=telemetry)
     # The scratch VM persists straight into the shared sharded store; any
-    # auto-attached server client is dropped (warming IS the server side).
-    jit.compile_server = None
+    # compile server is dropped (warming IS the server side).
+    jit.close()
     jit.codecache = store
     # The store's counters live in *its* telemetry (the server's), not
     # the scratch VM's: snapshot them so the summary reports deltas.

@@ -106,4 +106,4 @@ def test_jit_compile_workers_flag(program, capsys):
     assert "36" in captured.out
     import json
     stats = json.loads(captured.err[captured.err.index("{"):])
-    assert stats["compile_service"]["workers"] == 2
+    assert stats["server"]["workers"] == 2

@@ -1,9 +1,9 @@
-"""The persistent code cache and asynchronous CompileService.
+"""The persistent code cache and a VM's own compile queue.
 
 In-process tests cover the on-disk store (round trips, fingerprint
 sensitivity, corruption quarantine, budget eviction, invalidation) and
-the CompileService queue semantics (priorities, dedup, backpressure,
-retry, blacklist, timeout). Subprocess tests prove the headline claim:
+the queue semantics of a one-tenant CompileServer (priorities, dedup,
+backpressure, blacklist, cancel). Subprocess tests prove the headline claim:
 a warm start runs the same program with **zero** compiles and
 byte-identical generated code.
 """
@@ -19,13 +19,12 @@ import time
 
 import pytest
 
-from repro.codecache import (PRIORITY_OSR, PRIORITY_PREFETCH,
-                             PRIORITY_TIER1, PRIORITY_TIER2,
-                             CompileService, FORMAT_VERSION,
-                             PersistentCodeCache)
+from repro.codecache import FORMAT_VERSION, PersistentCodeCache
 from repro.compiler.options import CompileOptions
 from repro.errors import CompilationError
 from repro.observability import Telemetry
+from repro.server import (PRIORITY_OSR, PRIORITY_PREFETCH, PRIORITY_TIER1,
+                          PRIORITY_TIER2, CompileServer, daemon)
 from tests.conftest import load
 
 @pytest.fixture(autouse=True)
@@ -372,11 +371,13 @@ class TestBaselinePersistence:
         assert len(entry_files(j.codecache.root)) == 2
 
 
-class TestCompileService:
-    def _gated_service(self, **kw):
-        """A 1-worker service whose first job blocks on a gate, so tests
+class TestOneTenantServer:
+    """A VM's own queue: a CompileServer with one worker and one tenant."""
+
+    def _gated_server(self, **kw):
+        """A 1-worker server whose first job blocks on a gate, so tests
         can fill the queue deterministically behind it."""
-        svc = CompileService(workers=1, **kw)
+        server = CompileServer(workers=1, **kw)
         gate = threading.Event()
         started = threading.Event()
 
@@ -385,16 +386,16 @@ class TestCompileService:
             gate.wait(5.0)
             return "plug"
 
-        req = svc.submit("plug", plug, priority=PRIORITY_OSR)
+        req = server.submit("plug", plug, priority=PRIORITY_OSR)
         assert started.wait(5.0)
-        return svc, gate, req
+        return server, gate, req
 
     def test_priority_order(self):
-        svc, gate, _plug = self._gated_service()
+        server, gate, _plug = self._gated_server()
         try:
             order = []
-            reqs = [svc.submit(key, lambda k=key: order.append(k) or k,
-                               priority=prio)
+            reqs = [server.submit(key, lambda k=key: order.append(k) or k,
+                                  priority=prio)
                     for key, prio in (("pf", PRIORITY_PREFETCH),
                                       ("t1", PRIORITY_TIER1),
                                       ("osr", PRIORITY_OSR),
@@ -405,172 +406,153 @@ class TestCompileService:
             assert order == ["osr", "t2", "t1", "pf"]
         finally:
             gate.set()
-            svc.close()
+            server.close()
 
     def test_inflight_dedup(self):
-        svc, gate, _plug = self._gated_service()
+        """A second submit for a queued key parks behind the first and
+        runs after it (a unit-cache hit in real use)."""
+        server, gate, _plug = self._gated_server()
         try:
-            a = svc.submit("k", lambda: "va")
-            b = svc.submit("k", lambda: "vb")
-            assert a is b                      # one compile, shared handle
+            order = []
+            a = server.submit("k", lambda: order.append("a") or "va")
+            b = server.submit("k", lambda: order.append("b") or "vb")
+            assert a is not b
+            assert server.stats()["queue_depth"] == 1
             gate.set()
             assert a.wait(5.0) == "va"
+            assert b.wait(5.0) == "vb"
+            assert order == ["a", "b"]
+            assert server.stats()["dedup_followers"] == 1
         finally:
             gate.set()
-            svc.close()
+            server.close()
 
-    def test_backpressure_sheds_lowest_priority(self):
-        svc, gate, _plug = self._gated_service(queue_limit=2)
+    def test_backpressure_sheds_lowest_priority(self, monkeypatch):
+        monkeypatch.setattr(daemon, "PER_TENANT_LIMIT", 2)
+        server, gate, _plug = self._gated_server()
         try:
-            pf = svc.submit("pf", lambda: "pf", priority=PRIORITY_PREFETCH)
-            t1 = svc.submit("t1", lambda: "t1", priority=PRIORITY_TIER1)
+            pf = server.submit("pf", lambda: "pf",
+                               priority=PRIORITY_PREFETCH)
+            t1 = server.submit("t1", lambda: "t1", priority=PRIORITY_TIER1)
             # Queue full; an urgent request sheds the prefetch.
-            osr = svc.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
+            osr = server.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
             assert not osr.rejected
             assert pf.state == "failed"
             assert "shed" in pf.error
             # Another prefetch has nothing less urgent to shed: rejected.
-            pf2 = svc.submit("pf2", lambda: "x",
-                             priority=PRIORITY_PREFETCH)
+            pf2 = server.submit("pf2", lambda: "x",
+                                priority=PRIORITY_PREFETCH)
             assert pf2.rejected
             gate.set()
             assert osr.wait(5.0) == "osr"
             assert t1.wait(5.0) == "t1"
-            assert svc.stats()["shed"] == 1
-            assert svc.stats()["rejected"] == 1
+            assert server.stats()["shed"] == 1
+            assert server.stats()["rejected"] == 1
         finally:
             gate.set()
-            svc.close()
+            server.close()
 
-    def test_shed_notifies_on_error_and_emits_event(self):
+    def test_shed_notifies_on_error_and_emits_event(self, monkeypatch):
         """A request dropped under backpressure must hear about it: its
         on_error callback fires (a tier promotion that is never notified
-        stays pending forever) and compileq.shed is recorded."""
+        stays pending forever) and server.shed is recorded."""
+        monkeypatch.setattr(daemon, "PER_TENANT_LIMIT", 1)
         tel = Telemetry()
         tel.enable_trace()
-        svc, gate, _plug = self._gated_service(queue_limit=1,
-                                               telemetry=tel)
+        server, gate, _plug = self._gated_server(telemetry=tel)
         try:
             errors = []
-            pf = svc.submit("pf", lambda: "pf", priority=PRIORITY_PREFETCH,
-                            on_error=errors.append)
-            osr = svc.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
+            pf = server.submit("pf", lambda: "pf",
+                               priority=PRIORITY_PREFETCH,
+                               on_error=errors.append)
+            osr = server.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
             assert not osr.rejected
             assert pf.state == "failed"
             assert errors == ["shed under backpressure"]
-            shed_events = tel.events("compileq.shed")
+            shed_events = tel.events("server.shed")
             assert len(shed_events) == 1
             assert shed_events[0].data["key"] == repr("pf")
-            assert tel.metrics.get("compileq.shed") == 1
+            assert tel.metrics.get("server.shed") == 1
         finally:
             gate.set()
-            svc.close()
+            server.close()
 
-    def test_shed_on_error_fires_exactly_once(self):
+    def test_shed_on_error_fires_exactly_once(self, monkeypatch):
         """The shed path and the generic failure path share the same
         notifier; a victim's callback must not double-fire."""
-        svc, gate, _plug = self._gated_service(queue_limit=1)
+        monkeypatch.setattr(daemon, "PER_TENANT_LIMIT", 1)
+        server, gate, _plug = self._gated_server()
         try:
             errors = []
-            svc.submit("pf", lambda: "pf", priority=PRIORITY_PREFETCH,
-                       on_error=errors.append)
-            svc.submit("osr1", lambda: "a", priority=PRIORITY_OSR)
-            svc.submit("osr2", lambda: "b", priority=PRIORITY_OSR)
+            server.submit("pf", lambda: "pf", priority=PRIORITY_PREFETCH,
+                          on_error=errors.append)
+            server.submit("osr1", lambda: "a", priority=PRIORITY_OSR)
+            server.submit("osr2", lambda: "b", priority=PRIORITY_OSR)
             gate.set()
             time.sleep(0.05)
+            server.close()
             assert errors == ["shed under backpressure"]
         finally:
             gate.set()
-            svc.close()
-
-    def test_transient_error_retries_then_succeeds(self):
-        svc = CompileService(workers=1, retry_backoff=0.001)
-        try:
-            attempts = []
-
-            def flaky():
-                attempts.append(1)
-                if len(attempts) < 3:
-                    raise OSError("transient")
-                return "ok"
-
-            req = svc.submit("k", flaky)
-            assert req.wait(5.0) == "ok"
-            assert len(attempts) == 3
-            assert svc.stats()["retries"] == 2
-        finally:
-            svc.close()
+            server.close()
 
     def test_compilation_error_fails_immediately(self):
-        svc = CompileService(workers=1, retry_backoff=0.001)
+        server = CompileServer(workers=1)
         try:
             attempts = []
+            errors = []
 
             def broken():
                 attempts.append(1)
                 raise CompilationError("bad unit")
 
-            req = svc.submit("k", broken)
+            req = server.submit("k", broken, on_error=errors.append)
             assert req.wait(5.0) is None
             assert req.state == "failed"
-            assert len(attempts) == 1          # permanent: no retries
+            assert len(attempts) == 1          # no retries
+            assert errors == ["bad unit"]
         finally:
-            svc.close()
+            server.close()
 
     def test_blacklist_after_repeated_failure(self):
-        svc = CompileService(workers=1, blacklist_after=2,
-                             retry_backoff=0.001)
+        server = CompileServer(workers=1)
         try:
             def broken():
                 raise CompilationError("poisoned")
 
-            for _ in range(2):
-                svc.submit("k", broken).wait(5.0)
-            req = svc.submit("k", broken)
+            for _ in range(daemon.BLACKLIST_AFTER):
+                failed = server.submit("k", broken)
+                failed.wait(5.0)
+                assert failed.state == "failed"
+            req = server.submit("k", broken)
             assert req.rejected
             assert req.error == "blacklisted"
-            assert svc.stats()["blacklisted"] == [repr("k")]
-            # forgive() clears the record; the key runs again.
-            svc.forgive("k")
-            ok = svc.submit("k", lambda: "fixed")
-            assert ok.wait(5.0) == "fixed"
+            assert server.stats()["blacklisted"] == [repr("k")]
+            # Other keys are unaffected.
+            assert server.submit("j", lambda: "ok").wait(5.0) == "ok"
         finally:
-            svc.close()
-
-    def test_timeout_in_queue(self):
-        svc, gate, _plug = self._gated_service()
-        try:
-            req = svc.submit("slowpoke", lambda: "late", timeout=0.01)
-            time.sleep(0.05)
-            gate.set()
-            req._event.wait(5.0)
-            assert req.state == "failed"
-            assert req.wait(0) is None
-            assert svc.stats()["timeouts"] == 1
-        finally:
-            gate.set()
-            svc.close()
+            server.close()
 
     def test_cancel_discards_result(self):
-        svc, gate, req = self._gated_service()
+        server, gate, req = self._gated_server()
         try:
             done = []
             req.on_complete = done.append
-            svc.cancel("plug")
+            server.cancel("plug")
             gate.set()
             time.sleep(0.05)
             assert req.state == "cancelled"
             assert done == []                  # callback never ran
         finally:
             gate.set()
-            svc.close()
+            server.close()
 
     def test_submit_after_close_rejected(self):
-        svc = CompileService(workers=1)
-        svc.close()
-        req = svc.submit("k", lambda: "v")
+        server = CompileServer(workers=1)
+        server.close()
+        req = server.submit("k", lambda: "v")
         assert req.rejected
-        assert req.error == "service closed"
+        assert req.error == "server closed"
 
 
 class TestAsyncLancet:
@@ -589,7 +571,7 @@ class TestAsyncLancet:
             assert f.tier == 2
             assert f(5) == 22
             stats = j.stats()
-            assert stats["compile_service"]["completed"] >= 1
+            assert stats["server"]["completed"] >= 1
         finally:
             j.close()
 

@@ -120,3 +120,19 @@ class TestNamescore:
         t_ld = time.perf_counter() - t0
         assert got == expected
         assert t_ld < t_lib / 2      # paper: ~2x; ours is far larger
+
+    def test_vm_is_freed_after_compiling(self):
+        """Kernels are memoized per VM, not process-wide: once the VM is
+        dropped, nothing keeps it (or its compiled kernels) alive."""
+        import gc
+        import weakref
+        j = Lancet()
+        load_optiml(j)
+        load_app(j, "namescore", module="Namescore")
+        cf = j.vm.call("Namescore", "makeCompiled", [names_data(20)])
+        cf(0)
+        assert j.delite.kernels
+        ref = weakref.ref(j)
+        del j, cf
+        gc.collect()
+        assert ref() is None

@@ -1,6 +1,6 @@
-"""The multi-tenant compile server (ISSUE 9 tentpole): sharded store,
-cross-VM dedup, admission control / fairness / batching, manifest
-prewarming, and the client shim with local fallback."""
+"""The multi-tenant compile server: sharded store, cross-VM dedup,
+admission control / fairness / batching / blacklisting, manifest
+prewarming, and how a tenant VM degrades when its server closes."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import threading
 import time
 
 from repro import Lancet
-from repro.codecache.service import (PRIORITY_OSR, PRIORITY_PREFETCH,
-                                     PRIORITY_TIER1)
 from repro.compiler.options import CompileOptions
+from repro.errors import CompilationError
 from repro.observability import Telemetry
-from repro.server import (CompileServer, ShardedCodeCache, build_manifest,
-                          close_shared_servers, shared_server,
+from repro.server import (PRIORITY_OSR, PRIORITY_PREFETCH, PRIORITY_TIER1,
+                          CompileServer, ShardedCodeCache, build_manifest,
+                          close_shared_servers, daemon, shared_server,
                           warm_from_manifest, write_manifest)
 
 SRC = '''
@@ -119,12 +119,15 @@ class TestShardedCodeCache:
 
 
 class TestServerQueue:
-    def drain_server(self, **kw):
-        kw.setdefault("workers", 0)
-        return CompileServer(**kw)
+    def drain_server(self, monkeypatch=None, **limits):
+        """A manual-drain server; ``limits`` override module constants
+        (e.g. ``QUEUE_LIMIT=2``) for the test's duration."""
+        for name, value in limits.items():
+            monkeypatch.setattr(daemon, name, value)
+        return CompileServer(workers=0)
 
-    def test_fifo_round_robin_between_tenants(self):
-        server = self.drain_server(batch_max=2)
+    def test_fifo_round_robin_between_tenants(self, monkeypatch):
+        server = self.drain_server(monkeypatch, BATCH_MAX=2)
         try:
             order = []
             for key, tenant in (("a1", "A"), ("a2", "A"), ("a3", "A"),
@@ -132,7 +135,7 @@ class TestServerQueue:
                 server.submit(key, lambda k=key: order.append(k) or k,
                               tenant=tenant)
             server.drain()
-            # A's first batch (batch_max=2), then B's turn, then A again.
+            # A's first batch (BATCH_MAX=2), then B's turn, then A again.
             assert order == ["a1", "a2", "b1", "a3"]
             assert server.stats()["batches"] == 3
         finally:
@@ -151,8 +154,8 @@ class TestServerQueue:
         finally:
             server.close()
 
-    def test_per_tenant_cap_rejects_the_hog_only(self):
-        server = self.drain_server(per_tenant_limit=2)
+    def test_per_tenant_cap_rejects_the_hog_only(self, monkeypatch):
+        server = self.drain_server(monkeypatch, PER_TENANT_LIMIT=2)
         try:
             a1 = server.submit("a1", lambda: 1, tenant="A")
             a2 = server.submit("a2", lambda: 2, tenant="A")
@@ -165,8 +168,8 @@ class TestServerQueue:
         finally:
             server.close()
 
-    def test_backpressure_sheds_lowest_and_notifies(self):
-        server = self.drain_server(queue_limit=2)
+    def test_backpressure_sheds_lowest_and_notifies(self, monkeypatch):
+        server = self.drain_server(monkeypatch, QUEUE_LIMIT=2)
         try:
             errors = []
             server.submit("pf", lambda: "pf", tenant="A",
@@ -187,11 +190,11 @@ class TestServerQueue:
         finally:
             server.close()
 
-    def test_shed_leader_fails_followers_too(self):
+    def test_shed_leader_fails_followers_too(self, monkeypatch):
         """A shed queued leader takes its dedup followers with it: each
         is failed (never orphaned waiting on a compile that will not
         happen) and its on_error fires, so the tenants fall back."""
-        server = self.drain_server(queue_limit=2)
+        server = self.drain_server(monkeypatch, QUEUE_LIMIT=2)
         try:
             errors = []
             lead = server.submit("pf", lambda: "pf", tenant="A",
@@ -258,6 +261,98 @@ class TestServerQueue:
             assert ran == []
         finally:
             server.close()
+
+    def test_blacklist_spans_tenants(self):
+        """A key that failed BLACKLIST_AFTER times, whichever tenants
+        submitted it, is refused for every tenant: a poisoned unit stops
+        recompiling fleet-wide. Other keys still run."""
+        server = self.drain_server()
+        try:
+            errors = []
+
+            def broken():
+                raise CompilationError("poisoned")
+
+            for i in range(daemon.BLACKLIST_AFTER):
+                req = server.submit("k", broken, tenant="vm%d" % i,
+                                    on_error=errors.append)
+                assert not req.rejected
+                server.drain()
+                assert req.state == "failed"
+            assert errors == ["poisoned"] * daemon.BLACKLIST_AFTER
+            late = server.submit("k", lambda: "fixed", tenant="late")
+            assert late.rejected and late.error == "blacklisted"
+            s = server.stats()
+            assert s["blacklisted"] == [repr("k")]
+            assert s["failed"] == daemon.BLACKLIST_AFTER
+            ok = server.submit("other", lambda: "ok", tenant="late")
+            server.drain()
+            assert ok.wait(0) == "ok"
+        finally:
+            server.close()
+
+    def test_counters_hold_under_thread_contention(self):
+        """More workers and submitters than cores, with a short switch
+        interval: every request finishes, and the done/failed counters
+        and the failure blacklist lose no update."""
+        import sys
+        server = CompileServer(workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reqs = []
+
+            def broken():
+                raise CompilationError("poisoned")
+
+            def submitter(t):
+                for i in range(20):
+                    fn = broken if i % 5 == 0 else (lambda: "ok")
+                    reqs.append(server.submit(
+                        ("t%d" % t, i), fn, tenant="vm%d" % t))
+                    reqs.append(server.submit(
+                        ("t%d" % t, "poison"), broken, tenant="vm%d" % t))
+
+            threads = [threading.Thread(target=submitter, args=(t,))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            for r in reqs:
+                r.wait(10.0)
+                assert r.finished
+            s = server.stats()
+            done = sum(r.state == "done" for r in reqs)
+            failed = sum(r.state == "failed" for r in reqs)
+            assert s["completed"] == done > 0
+            assert s["failed"] == failed
+            assert s["rejected"] == sum(r.rejected for r in reqs)
+            assert done + failed + s["rejected"] == len(reqs)
+            poisoned = sorted(repr(("t%d" % t, "poison")) for t in range(6))
+            assert s["blacklisted"] == poisoned
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+
+    def test_close_fails_followers_of_a_running_leader(self):
+        """Closing while a leader runs: its followers can never run, so
+        they fail (on_error once) when the leader finishes."""
+        server = self.drain_server()
+        errors = []
+
+        def leader():
+            server.close()
+            return "L"
+
+        lead = server.submit("k", leader, tenant="A")
+        follow = server.submit("k", lambda: "F", tenant="B",
+                               on_error=errors.append)
+        server.drain()
+        assert lead.wait(0) == "L"
+        assert follow.state == "failed"
+        assert errors == ["server closed"]
 
 
 # -- cross-VM dedup -----------------------------------------------------------
@@ -359,18 +454,19 @@ class TestCrossVMDedup:
             server.close()
 
 
-# -- the client shim ----------------------------------------------------------
+# -- a tenant VM and its server ----------------------------------------------
 
 
-class TestServerClient:
+class TestAttachedServer:
     def test_stats_expose_server_section(self, tmp_path):
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
         try:
             j = make_jit(server)
             st = j.stats()["server"]
-            assert st["alive"]
-            assert st["tenant"] in server.stats()["tenants"]
-            assert st["server"]["store"]["shards"] == 8
+            assert not st["closed"]
+            assert st["tenant"] in st["tenants"]
+            assert st["fallbacks"] == 0
+            assert st["store"]["shards"] == 8
             j.close()
         finally:
             server.close()
@@ -379,32 +475,34 @@ class TestServerClient:
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
         j = Lancet(options=CompileOptions(compile_workers=1))
         try:
-            local = j.compile_service
-            assert j.async_compiler is local
-            client = j.attach_compile_server(server)
-            assert j.async_compiler is client
+            owned = j.compile_server
+            assert j.async_compiler is owned
+            assert j.attach_compile_server(server) is server
+            assert owned.closed             # the private server is gone
+            assert j.async_compiler is server
             server.close()
-            # Server died: transparent fallback to the local service.
-            assert j.async_compiler is local
+            # Server closed: compiles turn synchronous, counted.
+            assert j.async_compiler is None
+            assert j.telemetry.metrics.get("server.fallback") == 1
         finally:
             server.close()
             j.close()
 
-    def test_submit_falls_back_to_local_service_when_dead(self, tmp_path):
+    def test_closed_server_promotes_synchronously(self, tmp_path):
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
-        j = Lancet(options=CompileOptions(compile_workers=1))
+        j = make_jit(server, tier1_threshold=1, tier2_threshold=100)
         try:
-            client = j.attach_compile_server(server)
+            tf = j.compile_tiered("Main", "work")
             server.close()
-            req = client.submit("k", lambda: "local", tenant="x")
-            assert req.wait(5.0) == "local"
-            assert client.fallbacks == 1
-            assert client.stats()["fallbacks"] == 1
+            assert tf(10) == EXPECTED_WORK_10
+            assert tf.tier == 1             # promoted on this very call
+            assert j.telemetry.metrics.get("compiles") == 1
+            assert j.stats()["server"]["fallbacks"] == 1
+            assert server.stats()["submits"] == 0
         finally:
-            server.close()
             j.close()
 
-    def test_submit_rejects_when_dead_and_no_local(self, tmp_path):
+    def test_submit_rejects_when_dead(self, tmp_path):
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
         j = make_jit(server)
         server.close()
@@ -420,6 +518,16 @@ class TestServerClient:
             == "inline"
         j.close()
 
+    def test_close_detaches_from_shared_server(self, tmp_path):
+        server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
+        try:
+            j = make_jit(server)
+            j.close()
+            assert j.compile_server is None
+            assert not server.closed        # shared: outlives its tenant
+        finally:
+            server.close()
+
     def test_env_auto_attach(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_SERVER", str(tmp_path / "cc"))
         try:
@@ -428,7 +536,8 @@ class TestServerClient:
             assert isinstance(j.codecache, ShardedCodeCache)
             j2 = Lancet()
             # Same directory -> same process-wide server, new tenant.
-            assert j2.compile_server.server is j.compile_server.server
+            assert j2.compile_server is j.compile_server
+            assert j2.compile_tenant != j.compile_tenant
             j.close()
             j2.close()
         finally:
@@ -462,10 +571,10 @@ class TestPrefetchFallback:
         f = j1.compile_function("Main", "work")
         assert f(10) == EXPECTED_WORK_10
         j1.close()
-        # No CompileService, no server: prefetch degrades to a warm-start
-        # probe and installs the cached unit synchronously.
+        # No compile server: prefetch degrades to a warm-start probe and
+        # installs the cached unit synchronously.
         j2 = make_jit(None, cache_dir=cache)
-        assert j2.compile_service is None and j2.compile_server is None
+        assert j2.compile_server is None
         hit = j2.prefetch("Main", "work")
         assert hit is not None
         assert hit(10) == EXPECTED_WORK_10

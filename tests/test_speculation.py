@@ -150,6 +150,26 @@ class TestStableFields:
         assert f(7) is True          # recompiled against the new structure
         assert f.compile_count == 2
 
+    def test_recompiled_unit_owns_its_stable_deps(self):
+        """After a recompile, a write to a field only the recompiled code
+        read must invalidate it: inserting 10 recompiles the lookup,
+        and inserting 5 under 10 must not leave it stale."""
+        from repro import Lancet
+        from repro.apps import load_app
+        j = Lancet()
+        load_app(j, "stabletree", module="Stabletree")
+        for field in ("key", "left", "right"):
+            j.mark_stable("Node", field)
+        root = None
+        for key in (50, 20, 80):
+            root = j.vm.call("Stabletree", "insert", [root, key, key])
+        look = j.vm.call("Stabletree", "makeLookup", [root])
+        for key in (10, 5):
+            j.vm.call("Stabletree", "insert", [root, key, key])
+            assert look(key) == j.vm.call("Stabletree", "lookup",
+                                          [root, key])
+        assert look.compile_count == 3
+
 
 class TestSlowpathFastpath:
     def test_slowpath_drops_to_interpreter(self):
