@@ -17,6 +17,14 @@ generated code is unchanged. The fingerprint therefore covers:
   time, changing generated code without changing guest bytecode (see
   DESIGN.md), so registry churn must miss.
 * the **backend** name.
+
+The program hash is the expensive part (it renders every loaded class),
+so :func:`program_fingerprint` memoizes it per ``Linker.version``.
+**Version rule:** the linker bumps ``version`` after every mutation of
+the fingerprinted state (``load_classes`` and ``mark_stable_field``
+are the only two today); any new code path that changes loaded classes,
+their fields or bytecode, or a ``stable_fields`` set must bump it too,
+or warm starts will be served units keyed by a stale program.
 """
 
 from __future__ import annotations
@@ -44,7 +52,21 @@ def _h(parts):
 
 
 def program_fingerprint(linker):
-    """Hash the whole loaded class set (sorted, canonical rendering)."""
+    """Hash the whole loaded class set (sorted, canonical rendering),
+    memoized on the linker per ``linker.version``."""
+    # Read the version before hashing: a mutation racing this hash
+    # bumps past it, so a digest is never tagged with a newer version
+    # than the state it rendered.
+    version = linker.version
+    memo_version, digest = linker.fingerprint_memo
+    if memo_version == version:
+        return digest
+    digest = _render_program(linker)
+    linker.fingerprint_memo = (version, digest)
+    return digest
+
+
+def _render_program(linker):
     parts = []
     for name in sorted(linker.classes):
         rt = linker.classes[name]
@@ -77,6 +99,18 @@ def macro_fingerprint(registry):
     return registry.version
 
 
+def _key_parts(jit, identity, options, backend):
+    """The parts every persistent-cache key shares, after the unit's own
+    identity line: program, options, macros and backend."""
+    return [
+        identity,
+        "program %s" % program_fingerprint(jit.vm.linker),
+        "options %s" % options_signature(options),
+        "macros %s" % macro_fingerprint(jit.macros),
+        "backend %s" % backend,
+    ]
+
+
 def unit_fingerprint(jit, method, options, backend="python", kind="unit"):
     """The persistent-cache key for one static compilation unit.
 
@@ -85,14 +119,9 @@ def unit_fingerprint(jit, method, options, backend="python", kind="unit"):
     key additionally covers the host bytecode magic — a cached entry
     from another CPython must read as a miss, not a corrupt entry.
     """
-    parts = [
-        "%s %s/%d static=%r" % (kind, method.qualified_name,
-                                method.num_params, method.is_static),
-        "program %s" % program_fingerprint(jit.vm.linker),
-        "options %s" % options_signature(options),
-        "macros %s" % macro_fingerprint(jit.macros),
-        "backend %s" % backend,
-    ]
+    parts = _key_parts(jit, "%s %s/%d static=%r"
+                       % (kind, method.qualified_name, method.num_params,
+                          method.is_static), options, backend)
     if kind == "baseline":
         import importlib.util
         parts.append("magic %s" % importlib.util.MAGIC_NUMBER.hex())
@@ -102,12 +131,7 @@ def unit_fingerprint(jit, method, options, backend="python", kind="unit"):
 def trace_fingerprint(jit, method, header_bci, options, backend="python"):
     """The persistent-cache key for a loop-trace unit: a method unit key
     plus the loop-header bci (one method can anchor several traces)."""
-    return _h([
-        "trace %s/%d@%d static=%r" % (method.qualified_name,
-                                      method.num_params, header_bci,
-                                      method.is_static),
-        "program %s" % program_fingerprint(jit.vm.linker),
-        "options %s" % options_signature(options),
-        "macros %s" % macro_fingerprint(jit.macros),
-        "backend %s" % backend,
-    ])
+    return _h(_key_parts(jit, "trace %s/%d@%d static=%r"
+                         % (method.qualified_name, method.num_params,
+                            header_bci, method.is_static),
+                         options, backend))

@@ -158,3 +158,13 @@ class CompileOptions:
 
     # Treat compilation warnings as errors.
     warnings_as_errors: bool = False
+
+    def key(self):
+        """The field values as a flat tuple, in field order: a hashable
+        memo key equal exactly when the options are equal. Every field
+        is a scalar, a str or None, so a shallow tuple suffices
+        (``dataclasses.astuple`` deep-copies and is ~100x slower)."""
+        return tuple([getattr(self, name) for name in _FIELD_NAMES])
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(CompileOptions))

@@ -197,9 +197,6 @@ def _try_fuse(stmt, delite_stmts, uses, jit, journal, rejected, fresh, tel):
     return False
 
 
-_SYNTH_COUNT = [0]
-
-
 def _indexify_kernel(jit, pair_kernel):
     """Recompile a Pair-taking kernel as a two-argument (value, index)
     kernel. The synthesized wrapper allocates the Pair, and Lancet's
@@ -211,8 +208,7 @@ def _indexify_kernel(jit, pair_kernel):
     closure = getattr(pair_kernel, "guest_closure", None)
     if closure is None or "Pair" not in jit.vm.linker.classes:
         return None
-    _SYNTH_COUNT[0] += 1
-    name = "Delite$SoA%d" % _SYNTH_COUNT[0]
+    name = jit.vm.linker.synth_class_name("Delite$SoA")
     cf = ClassFile(name, is_closure=True)
     cf.add_field("f", is_val=True)
     b = MethodBuilder("apply", 2, is_static=False)

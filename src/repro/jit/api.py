@@ -306,7 +306,7 @@ class Lancet:
         opts = options or self.options
         return (id(method), method.qualified_name,
                 id(receiver) if receiver is not None else None,
-                dataclasses.astuple(opts))
+                opts.key())
 
     def _baseline_eligible(self, method, receiver, options):
         """Whether this unit takes the template-baseline tier-1 path:
@@ -327,24 +327,25 @@ class Lancet:
         # anything. Receiver-specialized units are identity-bound to this
         # process's heap and never persist.
         if self.codecache is not None and receiver is None:
-            kind = ("baseline"
-                    if self._baseline_eligible(method, None, opts)
-                    else "unit")
-            fingerprint = self.codecache.fingerprint(self, method, opts,
-                                                     kind=kind)
-
-            def load_or_build():
-                compiled = self.codecache.load(fingerprint, self,
-                                               recompile=rebuild,
-                                               kind=kind)
-                if compiled is not None:
-                    self.compile_log.append((compiled.name, compiled))
-                    return compiled
-                compiled = rebuild()
-                self.codecache.store(fingerprint, compiled, opts)
-                return compiled
-
             def coordinated():
+                # Only a unit-cache miss pays for the persistent key.
+                kind = ("baseline"
+                        if self._baseline_eligible(method, None, opts)
+                        else "unit")
+                fingerprint = self.codecache.fingerprint(self, method, opts,
+                                                         kind=kind)
+
+                def load_or_build():
+                    compiled = self.codecache.load(fingerprint, self,
+                                                   recompile=rebuild,
+                                                   kind=kind)
+                    if compiled is not None:
+                        self.compile_log.append((compiled.name, compiled))
+                        return compiled
+                    compiled = rebuild()
+                    self.codecache.store(fingerprint, compiled, opts)
+                    return compiled
+
                 # Cross-VM single-flight: with a compile server, the
                 # first tenant to want this fingerprint compiles it;
                 # tenants arriving mid-compile wait and rehydrate from

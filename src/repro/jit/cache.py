@@ -231,14 +231,11 @@ class CodeCache:
             return key in self._entries
 
 
-_SYNTH_COUNTER = [0]
-
-
 def _partial_applier_class(jit, class_name, method_name):
     """Synthesize ``class C { val x; def apply(z) { return Cls.m(this.x, z); } }``
     — the guest closure ``z => f(x, z)`` built from the host side."""
-    _SYNTH_COUNTER[0] += 1
-    name = "JitCache$%s$%s$%d" % (class_name, method_name, _SYNTH_COUNTER[0])
+    name = jit.vm.linker.synth_class_name(
+        "JitCache$%s$%s$" % (class_name, method_name))
     cf = ClassFile(name, is_closure=True)
     cf.add_field("x", is_val=True)
     b = MethodBuilder("apply", 1, is_static=False)

@@ -33,7 +33,7 @@ TIER0, TIER1, TIER2 = 0, 1, 2
 TIER_T = 3     # the trace tier (see repro.pipeline.tracing)
 
 
-#: derived-options memo: (astuple(base), tier) -> CompileOptions. The
+#: derived-options memo: (base.key(), tier) -> CompileOptions. The
 #: promotion path calls tier_options on every tier check; rebuilding a
 #: dataclass (two dataclasses.replace-sized allocations plus field
 #: copies) per call was measurable there. Derived objects are shared —
@@ -58,7 +58,7 @@ def tier_options(base, tier):
     if tier not in (TIER1, TIER2, TIER_T):
         raise ValueError("no compiled tier %r (tier 0 is the interpreter)"
                          % (tier,))
-    key = (dataclasses.astuple(base), tier)
+    key = (base.key(), tier)
     derived = _TIER_OPTIONS_CACHE.get(key)
     if derived is None:
         if tier == TIER2:

@@ -35,7 +35,6 @@ interpreter/method ladder.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 from repro.analysis.liveness import live_at
@@ -791,8 +790,7 @@ class TraceManager:
         trace.compiled = compiled
         jit = self.jit
         opts = self.trace_options()
-        key = ("trace", trace.site[0], trace.site[1],
-               dataclasses.astuple(opts))
+        key = ("trace", trace.site[0], trace.site[1], opts.key())
         if trace.cache_key is not None:
             jit.unit_cache.remove(trace.cache_key)
         jit.unit_cache.get_or_else_update(key, lambda: compiled)
@@ -825,7 +823,7 @@ class TraceManager:
         compiled.trace_owner = trace
         compiled.tier = TIER_T
         self.traces[site] = trace
-        key = ("trace", site[0], site[1], dataclasses.astuple(opts))
+        key = ("trace", site[0], site[1], opts.key())
         self.jit.unit_cache.get_or_else_update(key, lambda: compiled)
         trace.cache_key = key
         self.jit.compile_log.append((self._unit_name(site), compiled))

@@ -13,11 +13,30 @@ from repro.runtime.objects import RtClass
 
 
 class Linker:
-    """Registry of loaded guest classes."""
+    """Registry of loaded guest classes.
+
+    ``version`` counts mutations of the state a program fingerprint
+    covers (the loaded classes and their @stable field sets):
+    :meth:`load_classes` and :meth:`mark_stable_field` bump it once the
+    mutation is complete, and
+    :func:`repro.codecache.fingerprint.program_fingerprint` reuses its
+    digest while the version is unchanged.
+    """
 
     def __init__(self, verify=True):
         self.classes = {}
         self.verify = verify
+        self.version = 0
+        # (version, digest) memo owned by program_fingerprint.
+        self.fingerprint_memo = (-1, None)
+        self._synth_count = 0
+
+    def synth_class_name(self, prefix):
+        """A fresh name for a host-synthesized class. Numbered per
+        linker, so two VMs that synthesize the same classes in the same
+        order load the same names (and fingerprint the same program)."""
+        self._synth_count += 1
+        return "%s%d" % (prefix, self._synth_count)
 
     def load_classes(self, classfiles):
         """Load a batch of classfiles (resolving supers within the batch
@@ -43,6 +62,7 @@ class Linker:
                 if self.verify:
                     verify_class(cf)
                 self.classes[name] = RtClass(name, cf, superclass)
+                self.version += 1
                 del pending[name]
                 progress = True
         if pending:
@@ -81,3 +101,4 @@ class Linker:
         for other in self.classes.values():
             if other.is_subclass_of(class_name):
                 other.stable_fields.add(field_name)
+        self.version += 1

@@ -19,7 +19,9 @@ import time
 
 import pytest
 
-from repro.codecache import FORMAT_VERSION, PersistentCodeCache
+from repro import Lancet
+from repro.codecache import (FORMAT_VERSION, PersistentCodeCache,
+                             fingerprint, program_fingerprint)
 from repro.compiler.options import CompileOptions
 from repro.errors import CompilationError
 from repro.observability import Telemetry
@@ -269,6 +271,123 @@ class TestPersistentStore:
         assert f(7) == 42
         # Identity-bound to this heap: nothing may hit the disk.
         assert entry_files(j.codecache.root) == []
+
+
+BOX_SRC = '''
+    class Box {
+      var v;
+      def init(v) { this.v = v; }
+    }
+'''
+
+
+class TestProgramFingerprint:
+    """The program hash is memoized per linker version: every mutation
+    of the fingerprinted state moves it, nothing else re-renders it."""
+
+    def test_tracks_load_and_mark_stable(self):
+        j = load(SRC)
+        before = program_fingerprint(j.vm.linker)
+        j.load(BOX_SRC, module="Boxes")
+        loaded = program_fingerprint(j.vm.linker)
+        assert loaded != before
+        j.mark_stable("Box", "v")
+        stable = program_fingerprint(j.vm.linker)
+        assert stable not in (before, loaded)
+        # The memo equals a from-scratch hash of the same program.
+        fresh = load(SRC)
+        fresh.load(BOX_SRC, module="Boxes")
+        fresh.mark_stable("Box", "v")
+        assert program_fingerprint(fresh.vm.linker) == stable
+
+    def test_warm_ladder_renders_program_once(self, tmp_path, monkeypatch):
+        ladder_opts = dict(tier1_threshold=1, tier2_threshold=2,
+                           osr_threshold=10 ** 9)
+
+        def ladder(j):
+            names = sorted(j.vm.linker.resolve_class("Main")
+                           .classfile.methods)
+            for name in names:
+                tf = j.compile_tiered("Main", name)
+                for _ in range(3):
+                    tf(5)
+            return names
+
+        ladder(load_cached(tmp_path, **ladder_opts))
+        renders = []
+        render = fingerprint._render_program
+
+        def counting(linker):
+            renders.append(linker.version)
+            return render(linker)
+
+        monkeypatch.setattr(fingerprint, "_render_program", counting)
+        warm = load_cached(tmp_path, **ladder_opts)
+        names = ladder(warm)
+        stats = warm.stats()
+        assert stats["compiles"] == 0
+        assert stats["codecache"]["hits"] == 2 * len(names)   # T1 + T2
+        assert renders == [warm.vm.linker.version]
+
+    def test_mark_stable_misses_persisted_unit(self, tmp_path):
+        cold = load_cached(tmp_path, source=SRC + BOX_SRC)
+        cold.compile_function("Main", "addmul")
+        warm = load_cached(tmp_path, source=SRC + BOX_SRC)
+        program_fingerprint(warm.vm.linker)      # memoized pre-mark
+        warm.mark_stable("Box", "v")
+        assert warm.compile_function("Main", "addmul")(5) == 22
+        stats = warm.stats()
+        assert stats["compiles"] == 1
+        assert stats["codecache"]["hits"] == 0
+
+    def test_synthesized_class_names_are_per_vm(self):
+        """Two VMs in one process that synthesize the same classes load
+        the same names, so they fingerprint the same program (a fleet
+        tenant hits what another stored)."""
+        from repro.apps import load_app
+        from repro.jit.cache import make_jit
+        from repro.optiml import load_optiml
+        from repro.optiml.reference import names_data
+
+        def vm():
+            j = Lancet()
+            load_optiml(j)
+            load_app(j, "namescore", module="Namescore")
+            j.vm.call("Namescore", "makeCompiled", [names_data(20)])(0)
+            j.load("def add(x, y) { return x + y; }", module="Calc")
+            assert make_jit(j, "Calc", "add")(2, 3) == 5
+            return j
+
+        a, b = vm(), vm()
+        assert sorted(a.vm.linker.classes) == sorted(b.vm.linker.classes)
+        assert any(n.startswith("Delite$SoA") for n in a.vm.linker.classes)
+        assert (program_fingerprint(a.vm.linker)
+                == program_fingerprint(b.vm.linker))
+
+    def test_key_parts_unchanged(self):
+        """Unit and trace keys hash the same parts, in the same order,
+        as before they shared a helper: stores written earlier still
+        hit."""
+        import importlib.util
+        j = load(SRC)
+        m = j.vm.linker.resolve_static("Main", "addmul")
+        opts = j.options
+        common = [
+            "program %s" % program_fingerprint(j.vm.linker),
+            "options %s" % fingerprint.options_signature(opts),
+            "macros %s" % j.macros.version,
+            "backend python",
+        ]
+        assert (fingerprint.unit_fingerprint(j, m, opts)
+                == fingerprint._h(["unit Main.addmul/1 static=True"]
+                                  + common))
+        assert (fingerprint.unit_fingerprint(j, m, opts, kind="baseline")
+                == fingerprint._h(
+                    ["baseline Main.addmul/1 static=True"] + common
+                    + ["magic %s" % importlib.util.MAGIC_NUMBER.hex()]))
+        assert (fingerprint.trace_fingerprint(j, m, 4, opts)
+                == fingerprint._h(["trace Main.addmul/1@4 static=True"]
+                                  + common))
 
 
 def load_baseline_cached(tmp_path, source=SRC):

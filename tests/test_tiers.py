@@ -1,6 +1,8 @@
 """Tiered compilation: promotion ladder, OSR tier-up, deopt demotion,
 blacklisting, and tier-aware caching (ISSUE 3 tentpole)."""
 
+import dataclasses
+
 import pytest
 
 from repro import CompileOptions, Lancet
@@ -334,3 +336,47 @@ class TestTierOptions:
         other = CompileOptions(opt_gvn=False)
         assert tier_options(other, TIER1) is not tier_options(base, TIER1)
         assert tier_options(base, TIER1) is not tier_options(base, TIER2)
+
+
+def _changed(value):
+    """A different value of the same field type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    assert value is None
+    return "x"
+
+
+class TestOptionsKey:
+    """Unit-cache and tier_options memo keys are CompileOptions.key(): a
+    shallow tuple that must still tell every field apart."""
+
+    def test_every_field_changes_the_keys(self):
+        j = Lancet()
+        j.load(CALC_SRC)
+        method = j.vm.linker.resolve_static("Main", "calc")
+        base = CompileOptions()
+        unit_key = j._unit_key(method, None, base)
+        derived = tier_options(base, TIER2)
+        for field in dataclasses.fields(CompileOptions):
+            other = dataclasses.replace(
+                base, **{field.name: _changed(getattr(base, field.name))})
+            assert other.key() != base.key(), field.name
+            assert j._unit_key(method, None, other) != unit_key, field.name
+            assert tier_options(other, TIER2) is not derived, field.name
+
+    def test_equal_options_give_equal_keys(self):
+        j = Lancet()
+        j.load(CALC_SRC)
+        method = j.vm.linker.resolve_static("Main", "calc")
+        base = CompileOptions(opt_gvn=False, cache_dir="d")
+        twin = CompileOptions(opt_gvn=False, cache_dir="d")
+        assert twin.key() == base.key()
+        assert hash(twin.key()) == hash(base.key())
+        assert (j._unit_key(method, None, twin)
+                == j._unit_key(method, None, base))
+        assert tier_options(base, TIER2) is tier_options(
+            dataclasses.replace(base), TIER2)
