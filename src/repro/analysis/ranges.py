@@ -17,10 +17,16 @@ Design notes (see DESIGN.md):
   are widened to infinity: below that every integer bound is exactly
   representable as a float, and round-to-nearest monotonicity keeps
   computed float bounds sound.
-* **Landmark widening.** Joins snap bounds outward to the nearest
-  *landmark* — a constant appearing in the unit (plus -1/0/1) — making
-  the lattice finite so loops terminate in a few sweeps while keeping
-  full precision exactly where guards compare against program constants.
+* **Landmark joins, threshold widening.** Joins snap bounds outward to
+  the nearest *landmark* — a constant appearing in the unit (plus
+  -1/0/1) — so the lattice is finite and bounds stay precise where
+  guards compare against program constants. Snapping alone still lets a
+  loop counter climb one landmark per sweep, so at loop headers the
+  solver widens instead: a bound that grew jumps to the next
+  *threshold* of its name — -1/0/1 and c-1/c/c+1 for every constant c
+  compared against a name in its copy class — or to unbounded. A
+  descending phase of at most two sweeps then wins back bounds the loop
+  body implies but no threshold names.
 
 Branch edges and ``guard`` statements refine the interval of the
 condition's operands (sound here because the verifier enforces
@@ -30,12 +36,18 @@ condition sym can never be stale with respect to its operands).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from functools import cached_property
+
 from repro.analysis.cfg import def_counts, phi_assigns_for_edge
 from repro.analysis.dataflow import ForwardAnalysis, solve
 from repro.lms.ir import Branch, Deopt, Jump, OsrCompile, Return
 from repro.lms.rep import ConstRep, Sym
 
 _MAX_EXACT = 2 ** 52
+
+#: Widening thresholds of a name never compared against a constant.
+_THRESHOLDS = [-1, 0, 1]
 
 #: Comparison op -> (mirror op swapping the operands).
 _MIRROR = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le",
@@ -59,6 +71,20 @@ def _cap(bound, sign):
     if abs(bound) > _MAX_EXACT:
         return None
     return bound
+
+
+def _floor(marks, v):
+    """The largest of the sorted ``marks`` at or below ``v`` (None if
+    there is none)."""
+    i = bisect_right(marks, v)
+    return marks[i - 1] if i else None
+
+
+def _ceil(marks, v):
+    """The smallest of the sorted ``marks`` at or above ``v`` (None if
+    there is none)."""
+    i = bisect_left(marks, v)
+    return marks[i] if i < len(marks) else None
 
 
 def interval(lo, hi):
@@ -115,6 +141,50 @@ class RangeAnalysis(ForwardAnalysis):
                     note(rep)
         return sorted(marks)
 
+    @cached_property
+    def thresholds(self):
+        """``{name: sorted widening thresholds}`` for names in a copy
+        class (names joined by ``id``/``taint``/``untaint`` and by phi
+        assigns of a sym) that is compared against a numeric constant.
+        Built on the first widening; most units never widen."""
+        parent = {}
+
+        def find(name):
+            root = parent.setdefault(name, name)
+            while root != parent[root]:
+                root = parent[root]
+            while parent[name] != root:
+                parent[name], name = root, parent[name]
+            return root
+
+        def union(a, b):
+            parent[find(a)] = find(b)
+
+        compared = []                    # (name, constant)
+        for block in self.blocks.values():
+            for stmt in block.stmts:
+                if stmt.op in ("id", "taint", "untaint") \
+                        and isinstance(stmt.args[0], Sym):
+                    union(stmt.sym.name, stmt.args[0].name)
+                elif stmt.op in _MIRROR:
+                    for x, y in (stmt.args[:2], stmt.args[1::-1]):
+                        if isinstance(x, Sym) and isinstance(y, ConstRep) \
+                                and _num(y.value) \
+                                and abs(y.value) <= _MAX_EXACT:
+                            compared.append((x.name, y.value))
+            for succ in block.terminator.successors():
+                for param, rep in phi_assigns_for_edge(block.terminator,
+                                                       succ):
+                    if isinstance(rep, Sym):
+                        union(param, rep.name)
+        marks = {}
+        for name, v in compared:
+            marks.setdefault(find(name), {-1, 0, 1}).update(
+                (v - 1, v, v + 1))
+        marks = {root: sorted(m) for root, m in marks.items()}
+        return {name: marks[find(name)] for name in parent
+                if find(name) in marks}
+
     # -- lattice ---------------------------------------------------------------
 
     def bottom(self):
@@ -124,23 +194,10 @@ class RangeAnalysis(ForwardAnalysis):
         return {}
 
     def _snap_lo(self, lo):
-        if lo is None:
-            return None
-        best = None
-        for m in self.landmarks:
-            if m <= lo:
-                best = m
-            else:
-                break
-        return best
+        return None if lo is None else _floor(self.landmarks, lo)
 
     def _snap_hi(self, hi):
-        if hi is None:
-            return None
-        for m in self.landmarks:
-            if m >= hi:
-                return m
-        return None
+        return None if hi is None else _ceil(self.landmarks, hi)
 
     def join(self, a, b):
         if a is None:
@@ -159,6 +216,29 @@ class RangeAnalysis(ForwardAnalysis):
                 lo = self._snap_lo(lo)
             if hi != ahi or hi != bhi:
                 hi = self._snap_hi(hi)
+            if lo is not None or hi is not None:
+                out[name] = (lo, hi)
+        return out
+
+    def widen(self, old, new):
+        """Loop-header widening: a bound of ``new`` that grew past
+        ``old`` jumps to the next threshold of its name (unbounded past
+        the last); bounds that did not grow keep ``old``'s value."""
+        if old is None:
+            return new
+        if new is None:
+            return old
+        out = {}
+        for name, (lo, hi) in old.items():
+            other = new.get(name)
+            if other is None:
+                continue
+            nlo, nhi = other
+            marks = self.thresholds.get(name, _THRESHOLDS)
+            if lo is not None and (nlo is None or nlo < lo):
+                lo = None if nlo is None else _floor(marks, nlo)
+            if hi is not None and (nhi is None or nhi > hi):
+                hi = None if nhi is None else _ceil(marks, nhi)
             if lo is not None or hi is not None:
                 out[name] = (lo, hi)
         return out
@@ -389,7 +469,8 @@ class RangeAnalysis(ForwardAnalysis):
 
 
 def range_facts(blocks, entry_id, params=()):
-    """Solve the analysis; returns ``(analysis, {bid: (env_in, env_out)})``.
-    ``env_in`` of an unreachable block is ``None``."""
+    """Solve the analysis; returns ``(analysis, solution)``, the
+    :class:`~repro.analysis.dataflow.Solution` ``{bid: (env_in,
+    env_out)}``. ``env_in`` of an unreachable block is ``None``."""
     analysis = RangeAnalysis(blocks, entry_id, params)
     return analysis, solve(blocks, entry_id, analysis)

@@ -44,7 +44,9 @@ Event kinds emitted by the built-in instrumentation::
                              legality re-check)
     analysis.report          (per-unit IR analysis summary)
     analysis.verify_fail     (IR verifier found a malformed CFG)
-    pass.run                 (one PassManager pass: timing, CFG deltas)
+    pass.run                 (one PassManager pass: timing, CFG deltas;
+                             ``range`` adds ``transfers``, the range
+                             solver's block-transfer count)
     tier.promote / tier.demote   (tier-ladder transitions, with tiers)
     osr.tier_up              (hot loop back-edge tiered up mid-execution)
     codecache.hit / codecache.miss   (persistent-cache warm/cold lookups)

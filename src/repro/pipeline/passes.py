@@ -292,11 +292,13 @@ class PassManager:
                 summary["sunk_allocs"] = len(sunk)
                 info = {"sunk": len(sunk)}
             elif pname == "range":
-                pruned, folded, range_detail = prune_range_guards(
-                    result.blocks, result.entry_bid, result.param_names)
+                pruned, folded, range_detail, transfers = \
+                    prune_range_guards(result.blocks, result.entry_bid,
+                                       result.param_names)
                 summary["range_pruned_guards"] = pruned
                 summary["folded_branches"] = folded
-                info = {"pruned": pruned, "folded": folded}
+                info = {"pruned": pruned, "folded": folded,
+                        "transfers": transfers}
             elif pname == "dce":
                 summary["removed_stmts"] = eliminate_dead(result.blocks,
                                                           result.entry_bid)

@@ -54,7 +54,8 @@ def _proven_truthy(iv):
 
 def prune_range_guards(blocks, entry_id, params=()):
     """Run guard pruning + branch folding in place; returns
-    ``(guards_removed, branches_folded, provenance)``."""
+    ``(guards_removed, branches_folded, provenance, transfers)``, the
+    last being the solver's block-transfer count."""
     analysis, facts = range_facts(blocks, entry_id, params)
     guards_removed = 0
     branches_folded = 0
@@ -112,4 +113,4 @@ def prune_range_guards(blocks, entry_id, params=()):
         for bid in [b for b in blocks if b not in live]:
             del blocks[bid]
         fuse_blocks(blocks, entry_id)
-    return guards_removed, branches_folded, provenance
+    return guards_removed, branches_folded, provenance, facts.transfers

@@ -123,6 +123,31 @@ def guest_program(draw):
     return "def f(a, b) { %s return %s; }" % (" ".join(body), ret)
 
 
+def assert_compiled_equals_interpreted(jit, source, a, b):
+    """The interpreter is the oracle: the compiled ``f(a, b)`` must raise
+    the same guest error type (or none), return the same result and print
+    the same output."""
+    interp_err = comp_err = None
+    interp_result = comp_result = None
+    try:
+        interp_result = jit.vm.call("Main", "f", [a, b])
+    except GuestError as exc:
+        interp_err = type(exc)
+    interp_out = jit.vm.output()
+    jit.vm.clear_output()
+
+    compiled = jit.compile_function("Main", "f")
+    try:
+        comp_result = compiled(a, b)
+    except GuestError as exc:
+        comp_err = type(exc)
+    comp_out = jit.vm.output()
+
+    assert interp_err == comp_err, source
+    assert interp_result == comp_result, source
+    assert interp_out == comp_out, source
+
+
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -131,26 +156,7 @@ class TestDifferential:
     def test_compiled_equals_interpreted(self, source, a, b):
         jit = Lancet()
         jit.load(source)
-
-        interp_err = comp_err = None
-        interp_result = comp_result = None
-        try:
-            interp_result = jit.vm.call("Main", "f", [a, b])
-        except GuestError as exc:
-            interp_err = type(exc)
-        interp_out = jit.vm.output()
-        jit.vm.clear_output()
-
-        compiled = jit.compile_function("Main", "f")
-        try:
-            comp_result = compiled(a, b)
-        except GuestError as exc:
-            comp_err = type(exc)
-        comp_out = jit.vm.output()
-
-        assert interp_err == comp_err, source
-        assert interp_result == comp_result, source
-        assert interp_out == comp_out, source
+        assert_compiled_equals_interpreted(jit, source, a, b)
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -159,10 +165,7 @@ class TestDifferential:
         """Same property with inlining disabled (residual-call paths)."""
         jit = Lancet(options=CompileOptions(inline_policy="never"))
         jit.load(source)
-        expected = jit.vm.call("Main", "f", [a, b])
-        jit.vm.clear_output()
-        compiled = jit.compile_function("Main", "f")
-        assert compiled(a, b) == expected
+        assert_compiled_equals_interpreted(jit, source, a, b)
 
 
 # Option variants that must not change observable behaviour: inlining

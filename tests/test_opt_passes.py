@@ -181,7 +181,7 @@ class TestRanges:
                              Effect.GUARD, flags={"src": ("f", 7)}))
         b0.terminator = Return(Sym("i"))
         blocks = {0: b0}
-        pruned, folded, detail = prune_range_guards(blocks, 0)
+        pruned, folded, detail, __ = prune_range_guards(blocks, 0)
         assert pruned == 1 and folded == 0
         assert "in f (bci 7)" in detail[0]
         assert "range analysis" in detail[0]
@@ -193,7 +193,8 @@ class TestRanges:
         b0.stmts.append(stmt("g", "guard", (Sym("c"), ConstRep(0)),
                              Effect.GUARD))
         b0.terminator = Return(Sym("x"))
-        pruned, __, __ = prune_range_guards({0: b0}, 0, params=["x"])
+        pruned, __, __, __ = prune_range_guards({0: b0}, 0,
+                                                params=["x"])
         assert pruned == 0
 
     def test_branch_folding_removes_dead_block(self):
@@ -205,9 +206,152 @@ class TestRanges:
         b2 = Block(2)
         b2.terminator = Return(ConstRep("no"))
         blocks = {0: b0, 1: b1, 2: b2}
-        __, folded, __ = prune_range_guards(blocks, 0)
+        __, folded, __, __ = prune_range_guards(blocks, 0)
         assert folded == 1
         assert 2 not in blocks
+
+
+#: Loops whose post-loop branch the range pass folds. Widening loop
+#: bounds straight to unbounded instead of to the next threshold loses
+#: ``sat``, ``off``, ``dn`` and ``nest``; ``lag`` (``j`` is compared
+#: against nothing, so it widens to unbounded) needs the descending
+#: phase. Every ``f(n)`` returns 1.
+PRECISION_PROBES = {
+    "sat": """
+def f(n) {
+  var x = 0; var i = 0;
+  while (i < n) { if (x < 10) { x = x + 1; } i = i + 1; }
+  if (x < 12) { return 1; }
+  return 2;
+}""",
+    "cnt": """
+def f(n) {
+  var j = 0; var s = 0;
+  while (j < 4) { s = s + j; j = j + 1; }
+  if (j < 6) { return 1; }
+  return 2;
+}""",
+    "off": """
+def f(n) {
+  var x = 0; var i = 0;
+  while (i < n) { if (x + 1 < 10) { x = x + 1; } i = i + 1; }
+  if (x < 12) { return 1; }
+  return 2;
+}""",
+    "dn": """
+def f(n) {
+  var x = 20; var i = 0;
+  while (i < n) { if (x > 3) { x = x - 1; } i = i + 1; }
+  if (x > 1) { return 1; }
+  return 2;
+}""",
+    "lag": """
+def f(n) {
+  var i = 0; var j = 0;
+  while (i < 10) { j = i + 2; i = i + 1; }
+  var k = j - 1;
+  if (k < 12) { return 1; }
+  return 2;
+}""",
+    "nest": """
+def f(n) {
+  var i = 0; var s = 0;
+  while (i < 5) {
+    var j = 0;
+    while (j < i) { s = s + j; j = j + 1; }
+    i = i + 1;
+  }
+  if (i < 7) { return 1; }
+  return 2;
+}""",
+}
+
+#: A ``branchy`` method of the benchmark corpus (seed 0) and its helper.
+BRANCHY_SRC = """
+def h3(x) {
+  var y = (x * 68 + 227) % 1097;
+  if (y > 543) { y = y - 543; }
+  return y;
+}
+def m2(n, s) {
+  var acc = s % 9063;
+  var i = 0;
+  while (i < n) {
+    var t = (acc * 18 + i) % 9063;
+    if (t < 2732) { acc = acc + t; }
+    else { if (t < 7931) { acc = acc + h3(t); } else { acc = (acc + 101) % 9063; } }
+    if (i % 7 == 0) { acc = acc % 9063; }
+    i = i + 1;
+  }
+  return acc;
+}
+"""
+
+
+def _range_run(src, fn, monkeypatch):
+    """Compile ``fn`` at tier 2; returns the compiled unit, the range
+    pass's ``pass.run`` event data and the number of range transfer
+    calls counted by a monkeypatch."""
+    calls = []
+    transfer = RangeAnalysis.transfer
+
+    def counting(self, block, env):
+        calls.append(block.block_id)
+        return transfer(self, block, env)
+
+    monkeypatch.setattr(RangeAnalysis, "transfer", counting)
+    jit = Lancet()
+    jit.load(src)
+    jit.telemetry.enable_trace()
+    compiled = jit.compile_function("Main", fn)
+    runs = [e.data for e in jit.telemetry.events("pass.run")
+            if e.data["name"] == "range"]
+    assert compiled.report.tier == 2 and len(runs) == 1
+    return compiled, runs[0], len(calls)
+
+
+class TestRangeWidening:
+    @pytest.mark.parametrize("probe", sorted(PRECISION_PROBES))
+    def test_post_loop_branch_folds(self, probe, monkeypatch):
+        compiled, run, __ = _range_run(PRECISION_PROBES[probe], "f",
+                                       monkeypatch)
+        assert run["folded"] == 1
+        assert [compiled(n) for n in (0, 3, 30)] == [1, 1, 1]
+
+    def test_unrelated_constants_add_no_sweeps(self, monkeypatch):
+        def loop(k):
+            terms = " + ".join(str(101 + 7 * c) for c in range(k))
+            return ("def f(n) { var x = 0; var s = 0; var i = 0;"
+                    " while (i < n) { x = x + 1; s = s + %s; i = i + 1; }"
+                    " return x + s; }" % terms)
+
+        few = _range_run(loop(3), "f", monkeypatch)[2]
+        many = _range_run(loop(30), "f", monkeypatch)[2]
+        assert few == many
+
+    def test_branchy_corpus_method_sweeps_per_block(self, monkeypatch):
+        __, run, transfers = _range_run(BRANCHY_SRC, "m2", monkeypatch)
+        assert transfers <= 6 * run["blocks_before"]
+
+    def test_pass_run_reports_solver_transfers(self, monkeypatch):
+        __, run, transfers = _range_run(BRANCHY_SRC, "m2", monkeypatch)
+        assert run["transfers"] == transfers > 0
+
+    def test_widen_jumps_to_name_thresholds(self):
+        # x is compared against 10 through its copy y; z against nothing.
+        b0 = Block(0)
+        b0.stmts.append(stmt("y", "id", (Sym("x"),)))
+        b0.stmts.append(stmt("c", "lt", (Sym("y"), ConstRep(10))))
+        b0.terminator = Return(Sym("c"))
+        analysis = RangeAnalysis({0: b0}, 0)
+        assert analysis.thresholds["x"] == [-1, 0, 1, 9, 10, 11]
+        assert "z" not in analysis.thresholds
+        old = {"x": (0, 1), "z": (0, 1), "w": (0, 5)}
+        new = {"x": (0, 2), "z": (0, 2), "w": (1, 4)}
+        assert analysis.widen(old, new) == {
+            "x": (0, 9), "z": (0, None), "w": (0, 5)}
+        # Past the last threshold both bounds go, and so does the name.
+        assert analysis.widen({"x": (0, 9)}, {"x": (-3, 12)}) == {}
 
 
 class TestGVNPass:
