@@ -195,7 +195,8 @@ def _solve_backward(blocks, entry_id, analysis):
     order = reverse_postorder(blocks, entry_id)
     # Postorder seeds backward problems efficiently; include any blocks
     # unreachable from the entry at the end so they still get values.
-    seed = list(reversed(order)) + [b for b in blocks if b not in set(order)]
+    reached = set(order)
+    seed = list(reversed(order)) + [b for b in blocks if b not in reached]
     out_val = {bid: analysis.boundary(blocks, entry_id) for bid in blocks}
     in_val = {}
     for bid in blocks:

@@ -40,8 +40,6 @@ every performed rewrite after the fact, mirroring how
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.effects import (ALLOC_OPS, LOAD_OPS, STORE_OPS,
                                     fresh_syms, invoke_summary, is_total,
                                     may_alias, method_effect_summary)
@@ -54,12 +52,6 @@ PROVEN_SEQUENTIAL = "ProvenSequential"
 UNKNOWN = "Unknown"
 
 VERDICTS = (PROVEN_PARALLEL, PROVEN_SEQUENTIAL, UNKNOWN)
-
-
-def parsafe_mode_from_env():
-    """The REPRO_PARSAFE environment default: off | check | enforce."""
-    mode = os.environ.get("REPRO_PARSAFE", "").strip().lower()
-    return mode if mode in ("check", "enforce") else "off"
 
 
 class ParVerdict:

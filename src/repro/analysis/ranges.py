@@ -1,6 +1,6 @@
 """Interval (value-range) analysis over the staged CFG.
 
-A forward dataflow problem on environments ``{name: (lo, hi)}`` mapping a
+A forward dataflow problem on maps ``{name: (lo, hi)}``, each mapping a
 sym to a closed interval over the reals (``None`` bound = unbounded).
 Intervals attach only to values produced by numeric sources — constants,
 ``num``-flagged arithmetic, comparisons/booleans (as ``[0, 1]``),

@@ -50,7 +50,7 @@ from repro.analysis.cfg import phi_assigns_for_edge, reachable_from
 from repro.analysis.effects import COPY_OPS
 from repro.analysis.verify import verify_ir
 from repro.lms.ir import Branch, Effect, Jump, Return
-from repro.lms.rep import ConstRep, Rep, StaticRep, Sym
+from repro.lms.rep import ConstRep, StaticRep, Sym
 
 #: Passes the validator knows a simulation policy for (the PassManager
 #: snapshots before exactly these).
@@ -78,6 +78,18 @@ _MAX_SEGMENT_STMTS = 500
 _MAX_SEGMENT_BLOCKS = 80
 
 
+class _Interner(dict):
+    """Hash-consing: each distinct term node is one small int, so terms
+    that share structure (as trees they grow exponentially) hash and
+    compare in O(1). A pass's before and after snapshots share one."""
+
+    def __call__(self, node):
+        tid = self.get(node)
+        if tid is None:
+            tid = self[node] = len(self)
+        return tid
+
+
 def _hashable(value):
     try:
         hash(value)
@@ -86,10 +98,29 @@ def _hashable(value):
     return value
 
 
+def _leaf(rep, intern):
+    """The term of an operand that is not a Sym."""
+    if isinstance(rep, ConstRep):
+        return intern(("const", type(rep.value).__name__,
+                       _hashable(rep.value)))
+    if isinstance(rep, StaticRep):
+        return intern(("static", rep.index))
+    return intern(("imm", _hashable(rep)))
+
+
+def _commuted(stmt, args):
+    """``args`` in canonical order when ``stmt`` commutes."""
+    if len(args) == 2 and (
+            stmt.op in _COMMUTATIVE_ALWAYS
+            or (stmt.op in _COMMUTATIVE_NUM and stmt.flags.get("num"))):
+        return tuple(sorted(args))
+    return args
+
+
 class _TermBuilder:
     """Structural value numbering for one IR version.
 
-    ``term(rep)`` reduces a Rep to a hashable tree that is invariant
+    ``term(rep)`` reduces a Rep to an interned term that is invariant
     under renaming: ``id``/taint copies are transparent, block params
     whose every incoming edge carries one same term fold to it (the
     relation GVN's ``_simplify_phis`` rewrites by), commutative operands
@@ -97,11 +128,11 @@ class _TermBuilder:
     nodes.
     """
 
-    def __init__(self, blocks, fn_params):
+    def __init__(self, blocks, intern):
+        self.intern = intern
         self.defs = {}          # sym name -> defining Stmt
         self.block_params = set()
         self.param_edges = {}   # param name -> [incoming Rep, ...]
-        self.fn_params = frozenset(fn_params)
         for block in blocks.values():
             self.block_params.update(block.params)
             for stmt in block.stmts:
@@ -117,19 +148,19 @@ class _TermBuilder:
         self._active = set()
 
     def term(self, rep, depth=0):
-        if isinstance(rep, ConstRep):
-            return ("const", type(rep.value).__name__,
-                    _hashable(rep.value))
-        if isinstance(rep, StaticRep):
-            return ("static", rep.index)
         if not isinstance(rep, Sym):
-            return ("imm", _hashable(rep))
+            return _leaf(rep, self.intern)
         name = rep.name
         hit = self.memo.get(name)
         if hit is not None:
             return hit
+        if name in self._active and name in self.block_params:
+            # Back at a loop-carried param: the cycle makes its own term
+            # ("param", name), so the terms built inside the cycle (and
+            # memoized) are the same as those built outside it.
+            return self.intern(("param", name))
         if name in self._active or depth > _MAX_TERM_DEPTH:
-            return ("rec", name)
+            return self.intern(("rec", name))
         self._active.add(name)
         try:
             t = self._term_of_name(name, depth)
@@ -145,8 +176,8 @@ class _TermBuilder:
                 return self.term(stmt.args[0], depth + 1)
             args = self.arg_terms(stmt, depth + 1)
             if stmt.effect is Effect.PURE:
-                return (stmt.op,) + args
-            return ("eff", stmt.op) + args
+                return self.intern(("op", stmt.op, args))
+            return self.intern(("eff", stmt.op, args))
         if name in self.block_params:
             cands = [r for r in self.param_edges.get(name, ())
                      if not (isinstance(r, Sym) and r.name == name)]
@@ -154,40 +185,41 @@ class _TermBuilder:
                 terms = {self.term(r, depth + 1) for r in cands}
                 if len(terms) == 1:
                     return terms.pop()
-            return ("param", name)
-        return ("free", name)
+            return self.intern(("param", name))
+        return self.intern(("free", name))
 
     def arg_terms(self, stmt, depth=0):
         """The statement's operand terms, commutatively canonicalized."""
-        args = tuple(self.term(a, depth) if isinstance(a, Rep)
-                     else ("imm", _hashable(a)) for a in stmt.args)
-        if len(args) == 2 and (
-                stmt.op in _COMMUTATIVE_ALWAYS
-                or (stmt.op in _COMMUTATIVE_NUM and stmt.flags.get("num"))):
-            args = tuple(sorted(args, key=repr))
-        return args
+        return _commuted(stmt, tuple(self.term(a, depth)
+                                     for a in stmt.args))
 
 
 class IRSummary:
     """Everything the simulation relation compares, computed eagerly so
     in-place pass mutation cannot corrupt the 'before' side."""
 
-    __slots__ = ("block_effects", "write_io", "calls", "guards", "segment")
+    __slots__ = ("block_effects", "write_io", "calls", "guards", "segment",
+                 "intern")
 
-    def __init__(self, block_effects, write_io, calls, guards, segment):
+    def __init__(self, block_effects, write_io, calls, guards, segment,
+                 intern):
         self.block_effects = block_effects  # {bid: [skeleton, ...]}
         self.write_io = write_io            # Counter of skeletons
         self.calls = calls                  # Counter of skeletons
         self.guards = guards                # Counter of guard identities
         self.segment = segment              # (kind, term, events tuple)
+        self.intern = intern                # the terms' _Interner
 
 
-def snapshot_ir(result):
+def snapshot_ir(result, intern=None):
     """Summarize ``result``'s IR for later comparison by
-    :func:`validate_pass`."""
+    :func:`validate_pass` (which passes the before snapshot's
+    ``intern``)."""
     blocks, entry = result.blocks, result.entry_bid
     metas = result.metas
-    tb = _TermBuilder(blocks, result.param_names)
+    if intern is None:
+        intern = _Interner()
+    tb = _TermBuilder(blocks, intern)
     reachable = reachable_from(blocks, entry)
     block_effects = {}
     write_io, calls, guards = Counter(), Counter(), Counter()
@@ -200,7 +232,7 @@ def snapshot_ir(result):
                         and 0 <= stmt.args[1] < len(metas):
                     meta = metas[stmt.args[1]]
                 guards[(stmt.op, tb.term(stmt.args[0]) if stmt.args
-                        else ("imm", None),
+                        else intern(("imm", None)),
                         getattr(meta, "reason", None),
                         getattr(meta, "kind", None))] += 1
                 continue
@@ -214,29 +246,26 @@ def snapshot_ir(result):
                 write_io[skeleton] += 1
         block_effects[bid] = seq
     return IRSummary(block_effects, write_io, calls, guards,
-                     _segment(result))
+                     _segment(result, intern), intern)
 
 
-def _segment(result):
+def _segment(result, intern):
     """Symbolically evaluate the straight-line entry segment on a small
     abstract store: terms over an uninterpreted heap whose reads carry
     the current store epoch.  Returns ``(kind, terminator term, effect
     events)`` where kind is 'branch' | 'return' | 'loop' | 'deopt' |
     'cap'."""
     blocks, entry = result.blocks, result.entry_bid
-    env = {p: ("free", p) for p in result.param_names}
+    env = {p: intern(("free", p)) for p in result.param_names}
     events = []
     visited = set()
     steps = 0
 
     def ev(rep):
-        if isinstance(rep, Sym):
-            return env.get(rep.name, ("free", rep.name))
-        if isinstance(rep, ConstRep):
-            return ("const", type(rep.value).__name__, _hashable(rep.value))
-        if isinstance(rep, StaticRep):
-            return ("static", rep.index)
-        return ("imm", _hashable(rep))
+        if not isinstance(rep, Sym):
+            return _leaf(rep, intern)
+        t = env.get(rep.name)
+        return t if t is not None else intern(("free", rep.name))
 
     bid = entry
     while bid in blocks and bid not in visited \
@@ -252,24 +281,18 @@ def _segment(result):
                 env[name] = ev(stmt.args[0])
                 continue
             if stmt.op in ("guard", "guard_not"):
-                env[name] = ("guarded",)
+                env[name] = intern(("guarded",))
                 continue
-            args = tuple(ev(a) if isinstance(a, Rep)
-                         else ("imm", _hashable(a)) for a in stmt.args)
-            if len(args) == 2 and (
-                    stmt.op in _COMMUTATIVE_ALWAYS
-                    or (stmt.op in _COMMUTATIVE_NUM
-                        and stmt.flags.get("num"))):
-                args = tuple(sorted(args, key=repr))
+            args = _commuted(stmt, tuple(ev(a) for a in stmt.args))
             if stmt.effect is Effect.PURE:
-                env[name] = (stmt.op,) + args
+                env[name] = intern(("op", stmt.op, args))
             elif stmt.effect is Effect.READ:
-                env[name] = ("read", stmt.op, args, len(events))
+                env[name] = intern(("read", stmt.op, args, len(events)))
             elif stmt.effect is Effect.ALLOC:
-                env[name] = ("alloc", stmt.op, args)
+                env[name] = intern(("alloc", stmt.op, args))
             else:
                 events.append((stmt.op,) + args)
-                env[name] = ("effres", stmt.op, args, len(events))
+                env[name] = intern(("effres", stmt.op, args, len(events)))
         term = block.terminator
         if isinstance(term, Jump):
             # Bind phi values before entering the target (simultaneous
@@ -304,7 +327,7 @@ def validate_pass(pass_name, before, result):
     """Check the simulation relation between ``before`` (an
     :class:`IRSummary` snapshot) and ``result``'s current IR; returns a
     list of finding strings (empty = the pass simulates)."""
-    after = snapshot_ir(result)
+    after = snapshot_ir(result, before.intern)
     findings = []
 
     # 1. Defined-value preservation: the after-IR must still verify.

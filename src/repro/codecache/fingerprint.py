@@ -11,8 +11,8 @@ generated code is unchanged. The fingerprint therefore covers:
 * the **unit identity** — qualified name, arity, staticness.
 * the **CompileOptions** — every codegen-relevant knob (tier included).
   Service/cache plumbing fields (``cache_dir``, ``compile_workers``,
-  ``persist``, ``unit_cache``) are excluded: they select machinery, not
-  code shape.
+  ``persist``, ``unit_cache``) and the trace-tier switch and counters
+  are excluded: they select machinery or timing, not code shape.
 * the **macro-registry version** — macros rewrite call sites at staging
   time, changing generated code without changing guest bytecode (see
   DESIGN.md), so registry churn must miss.
@@ -35,11 +35,11 @@ import hashlib
 #: CompileOptions fields that do not influence generated code. The
 #: trace-tier policy counters only decide *when* recording/stitching
 #: happens, not what a recorded trace compiles to; the recording shape
-#: limits (trace_max_ops/trace_max_depth) stay in the signature.
+#: limit (trace_max_ops) stays in the signature.
 _NON_CODEGEN_FIELDS = frozenset({
     "unit_cache", "cache_dir", "persist", "compile_workers",
-    "cache_budget_bytes", "trace_tier", "trace_threshold",
-    "bridge_threshold", "trace_exit_budget",
+    "trace_tier", "trace_threshold", "bridge_threshold",
+    "trace_exit_budget",
 })
 
 

@@ -36,34 +36,3 @@ def join_bcis(method):
     method._join_bcis = joins
     return joins
 
-
-def basic_blocks(method):
-    """Leader-based basic blocks: list of (start, end_exclusive)."""
-    code = method.code
-    leaders = {0}
-    for i in range(len(code)):
-        ins = code[i]
-        if ins.op in (Op.JUMP, Op.JIF_TRUE, Op.JIF_FALSE):
-            leaders.add(ins.arg)
-            if ins.op is not Op.JUMP and i + 1 < len(code):
-                leaders.add(i + 1)
-        elif ins.op in (Op.RET, Op.RET_VAL, Op.THROW):
-            if i + 1 < len(code):
-                leaders.add(i + 1)
-    ordered = sorted(leaders)
-    blocks = []
-    for idx, start in enumerate(ordered):
-        end = ordered[idx + 1] if idx + 1 < len(ordered) else len(code)
-        blocks.append((start, end))
-    return blocks
-
-
-def loop_headers(method):
-    """Join bcis that are targets of a backward edge (loop headers)."""
-    code = method.code
-    headers = set()
-    for i in range(len(code)):
-        for s in successors_of(code, i):
-            if s <= i and s in join_bcis(method):
-                headers.add(s)
-    return frozenset(headers)

@@ -3,6 +3,11 @@
 The paper's stance is "you get what you ask for": these knobs are explicit
 program-facing policy, not hidden heuristics. Defaults follow the paper
 (inline non-recursive methods always, fold final fields, etc.).
+
+This is the only module that reads the process environment. A
+``REPRO_*`` variable only supplies the default of the option whose
+comment names it, read when the options are built, so an explicit
+argument always wins (README, "Environment variables", has the table).
 """
 
 from __future__ import annotations
@@ -11,26 +16,30 @@ import dataclasses
 import os
 
 
-def _env_validate():
-    """Default for the speculation-soundness checkers: the REPRO_VALIDATE
-    environment variable turns them on (tests/CI) or off (benchmarks);
-    unset means off."""
-    return os.environ.get("REPRO_VALIDATE", "").strip().lower() \
-        not in ("", "0", "false", "no", "off")
+def _from_env(name, default):
+    """An option whose default is the flag variable ``name``: unset or
+    empty gives ``default``, 0/false/no/off is off, anything else on."""
+    def read():
+        value = os.environ.get(name, "").strip().lower()
+        return value not in ("0", "false", "no", "off") if value else default
+    return dataclasses.field(default_factory=read)
 
 
-def _env_parsafe():
-    """Default for the Delite parallel-safety gate: the REPRO_PARSAFE
-    environment variable selects the mode; unset/unknown means off."""
-    mode = os.environ.get("REPRO_PARSAFE", "").strip().lower()
-    return mode if mode in ("check", "enforce") else "off"
+def resolve_parsafe(mode=None):
+    """The Delite parallel-safety mode: an explicit ``mode`` wins, None
+    takes REPRO_PARSAFE (unset means off). Unknown values raise."""
+    if mode is None:
+        mode = os.environ.get("REPRO_PARSAFE", "").strip().lower() or "off"
+    if mode not in ("off", "check", "enforce"):
+        raise ValueError("unknown parsafe mode %r: expected off|check|enforce"
+                         % (mode,))
+    return mode
 
 
-def _env_baseline():
-    """Default for the template baseline tier: on unless REPRO_BASELINE
-    disables it (the CI ablation leg and A/B benchmarks set 0)."""
-    return os.environ.get("REPRO_BASELINE", "").strip().lower() \
-        not in ("0", "false", "no", "off")
+def compile_server_dir():
+    """REPRO_COMPILE_SERVER: the cache directory of the shared compile
+    server every Lancet with ``compile_workers=0`` joins, or None."""
+    return os.environ.get("REPRO_COMPILE_SERVER") or None
 
 
 @dataclasses.dataclass
@@ -45,9 +54,7 @@ class CompileOptions:
     # dynamic scope; this caps duplicated loop versions.
     unroll_limit: int = 1024
 
-    # Fixpoint engine limits.
-    max_passes: int = 60
-    max_blocks: int = 20000
+    # Staging budget: more IR statements than this fail the compile.
     max_stmts: int = 2_000_000
 
     # Partial-evaluation aggressiveness.
@@ -74,10 +81,10 @@ class CompileOptions:
     # verifier at every checkpoint (every guard/side-exit's DeoptMeta
     # against bytecode-level liveness at the target bci). A failed check
     # rejects the compile — the unit recompiles with the offending pass
-    # off and a `validate.reject` telemetry event. Default-on under
-    # REPRO_VALIDATE=1 (tests/CI), default-off otherwise (benchmarks).
-    validate_passes: bool = dataclasses.field(default_factory=_env_validate)
-    verify_deopt: bool = dataclasses.field(default_factory=_env_validate)
+    # off and a `validate.reject` telemetry event. Default from
+    # REPRO_VALIDATE: on in tests/CI, off otherwise (benchmarks).
+    validate_passes: bool = _from_env("REPRO_VALIDATE", False)
+    verify_deopt: bool = _from_env("REPRO_VALIDATE", False)
 
     # Delite accelerator-op fusion (paper 3.4); off for ablations.
     delite_fusion: bool = True
@@ -89,9 +96,9 @@ class CompileOptions:
     # parsafe.fallback event); 'check' additionally arms the dynamic
     # write sanitizer (repro.analysis.raced) on every chunked execution,
     # raising RaceDetected when two chunks' write footprints overlap —
-    # the runtime cross-check of the static verdicts. Defaults from
+    # the runtime cross-check of the static verdicts. None takes
     # REPRO_PARSAFE (the CI sanitizer leg sets 'check').
-    parsafe: str = dataclasses.field(default_factory=_env_parsafe)
+    parsafe: str = None
 
     # Tier-2 optimization passes powered by the static analyses in
     # repro.analysis (effects/escape/ranges). Each flag gates one pass so
@@ -119,21 +126,20 @@ class CompileOptions:
     # specialization) to the template baseline compiler derived from the
     # interpreter's handler table (repro.baseline) instead of the cut-
     # down staged compile. Falls back to the staged path automatically
-    # on CPythons the bytecode assembler does not target.
-    baseline: bool = dataclasses.field(default_factory=_env_baseline)
+    # on CPythons the bytecode assembler does not target. Default from
+    # REPRO_BASELINE (A/B benchmarks set 0).
+    baseline: bool = _from_env("REPRO_BASELINE", True)
 
     # Tier T, the trace-recording tier (repro.pipeline.tracing): enabled
-    # explicitly (or via REPRO_TRACE_TIER=1). A loop back-edge taken
+    # explicitly, default from REPRO_TRACE_TIER. A loop back-edge taken
     # `trace_threshold` times flips the interpreter into recording mode;
-    # recordings abort past `trace_max_ops` instructions or
-    # `trace_max_depth` inlined guest frames. A guard exit taken
-    # `bridge_threshold` times gets a bridge trace stitched on; a trace
-    # whose exits total `trace_exit_budget` without a bridge absorbing
-    # them is blacklisted back to the interpreter/method ladder.
-    trace_tier: bool = False
+    # recordings abort past `trace_max_ops` instructions. A guard exit
+    # taken `bridge_threshold` times gets a bridge trace stitched on; a
+    # trace whose exits total `trace_exit_budget` without a bridge
+    # absorbing them is blacklisted back to the interpreter/method ladder.
+    trace_tier: bool = _from_env("REPRO_TRACE_TIER", False)
     trace_threshold: int = 30
     trace_max_ops: int = 3000
-    trace_max_depth: int = 8
     bridge_threshold: int = 4
     trace_exit_budget: int = 40
 
@@ -142,12 +148,10 @@ class CompileOptions:
     unit_cache: bool = True
 
     # Persistent code cache (warm starts): a directory for on-disk
-    # entries (None disables persistence), a master switch, and a size
-    # budget enforced by LRU eviction. The REPRO_NO_PERSIST environment
-    # variable overrides `persist` to False (CI's in-memory-only run).
+    # entries (None, the default, keeps compiled code in memory only)
+    # and a master switch (the CLI's --no-persist).
     cache_dir: str = None
     persist: bool = True
-    cache_budget_bytes: int = 64 << 20
 
     # Background compilation: > 0 gives the VM a private CompileServer
     # with that many workers, and tier promotions, OSR, trace installs
@@ -158,6 +162,9 @@ class CompileOptions:
 
     # Treat compilation warnings as errors.
     warnings_as_errors: bool = False
+
+    def __post_init__(self):
+        self.parsafe = resolve_parsafe(self.parsafe)
 
     def key(self):
         """The field values as a flat tuple, in field order: a hashable

@@ -61,6 +61,11 @@ from repro.runtime.objects import Obj
 _END = "end"
 _CONTINUE = "continue"
 
+# Fixpoint limits: staging passes per unit before giving up, and blocks
+# one pass may stage; exceeding either fails the compile.
+MAX_PASSES = 60
+MAX_BLOCKS = 20000
+
 _DIRECTIVE_SCOPES = {
     "inlineAlways": {"inline": "always"},
     "inlineNever": {"inline": "never"},
@@ -253,7 +258,7 @@ class StagedInterpreter:
         constructs a fresh entry state (same shape every pass)."""
         entry_bid = None
         entry_assigns = []
-        for pass_num in range(self.options.max_passes):
+        for pass_num in range(MAX_PASSES):
             self.ctx = StagingContext(statics=self.statics)
             self._pass_changed = False
             self._reached_count = {}
@@ -302,7 +307,7 @@ class StagedInterpreter:
         else:
             raise CompilationError(
                 "compilation did not converge after %d passes"
-                % self.options.max_passes)
+                % MAX_PASSES)
 
         blocks = self.ctx.blocks
         return CompileResult(
@@ -837,9 +842,9 @@ class StagedInterpreter:
     # ------------------------------------------------------------------
 
     def _generate_block(self, bid, state, params):
-        if len(self.ctx.blocks) > self.options.max_blocks:
-            raise CompilationError("block budget exhausted (max_blocks=%d)"
-                                   % self.options.max_blocks)
+        if len(self.ctx.blocks) > MAX_BLOCKS:
+            raise CompilationError("block budget exhausted (%d blocks)"
+                                   % MAX_BLOCKS)
         block = self.ctx.new_block(bid, params=params or ())
         self.ctx.set_current(block)
         self._generated.add(bid)

@@ -28,34 +28,36 @@ import time
 
 import numpy as np
 
-from repro.analysis.parsafe import classify_op, parsafe_mode_from_env
+from repro.analysis.parsafe import classify_op
 from repro.analysis.raced import WriteSanitizer
-from repro.delite.ops import (DeliteOp, ElementwiseBuiltin, MapIndexedOp,
-                              MapOp, MapReduceOp, RangeMapReduceOp,
-                              ReduceBuiltin, ReduceOp, ZipMapOp,
-                              ZipWithIndexOp)
+from repro.compiler.options import resolve_parsafe
+from repro.delite.ops import (ElementwiseBuiltin, MapIndexedOp, MapOp,
+                              MapReduceOp, RangeMapReduceOp, ReduceBuiltin,
+                              ReduceOp, ZipMapOp, ZipWithIndexOp)
+
+
+#: The modeled GPU: per-kernel launch overhead in microseconds, and
+#: throughput relative to one CPU core on vectorized kernels (calibrated to
+#: the paper's GPU-vs-8-core ratios; execution is whole-array numpy).
+GPU_LAUNCH_US = 40.0
+GPU_SPEED_FACTOR = 16.0
 
 
 class DeliteRuntime:
     """Executes Delite ops; owns the backend config and the sim clock."""
 
     def __init__(self, backend="seq", cores=1, sync_overhead_us=25.0,
-                 gpu_launch_us=40.0, gpu_speed_factor=16.0, parsafe=None):
+                 parsafe=None):
         self.backend = backend           # 'seq' | 'smp' | 'gpu'
         self.cores = cores
         self.sync_overhead_us = sync_overhead_us
-        self.gpu_launch_us = gpu_launch_us
-        # Modeled GPU throughput relative to one CPU core on vectorized
-        # kernels (calibrated to the paper's GPU-vs-8-core ratios; the
-        # actual execution is whole-array numpy either way).
-        self.gpu_speed_factor = gpu_speed_factor
         self.sim_time = 0.0              # modeled wall-clock, seconds
         self.real_time = 0.0
         self.ops_run = 0
         self.fused_ops_run = 0
-        # Parallel-safety gate: 'off' | 'check' | 'enforce'.
-        self.parsafe = parsafe if parsafe is not None \
-            else parsafe_mode_from_env()
+        # Parallel-safety gate: 'off' | 'check' | 'enforce'; None takes
+        # the REPRO_PARSAFE default.
+        self.parsafe = resolve_parsafe(parsafe)
         self.parsafe_fallbacks = 0       # unproven ops demoted to seq
         self.parsafe_checks = 0          # sanitized chunked launches
         self._np_cache = {}
@@ -144,7 +146,7 @@ class DeliteRuntime:
             want_gpu = want_smp = False      # refused: run sequentially
         if want_gpu:
             result, sim = self._run_whole(op, elems, uniforms, 0.0)
-            sim = sim / self.gpu_speed_factor + self.gpu_launch_us * 1e-6
+            sim = sim / GPU_SPEED_FACTOR + GPU_LAUNCH_US * 1e-6
         elif want_smp:
             result, sim = self._run_chunked(op, elems, uniforms)
         else:

@@ -1,7 +1,7 @@
 """The MiniJVM bytecode interpreter (paper Fig. 6).
 
 Structure follows the Graal-derived interpreter the paper starts from: a
-CESK-style machine whose control/environment/continuation live in a chain
+CESK-style machine whose control, bindings and continuation live in a chain
 of :class:`InterpreterFrame` objects (``globalFrame``), with the store
 modeled by the host heap. ``exec`` switches the current frame; ``loop``
 executes instructions until the root frame returns.

@@ -25,7 +25,7 @@ import time
 from repro.analysis.diagnostics import Diagnostics
 from repro.bytecode.verifier import verify_method
 from repro.compiler.deopt import reconstruct_frames
-from repro.compiler.options import CompileOptions
+from repro.compiler.options import CompileOptions, compile_server_dir
 from repro.compiler.stagedinterp import (AbstractFrame, MachineState,
                                          StagedInterpreter)
 from repro.errors import (CompilationError, CompilationWarningList,
@@ -71,18 +71,14 @@ class Lancet:
         # Persistent code cache (warm starts across processes), off by
         # default. Creation is best-effort: a bad cache dir disables
         # persistence, it never fails VM construction.
-        import os as _os
         self.codecache = None
-        if (self.options.cache_dir and self.options.persist
-                and not _os.environ.get("REPRO_NO_PERSIST")):
+        if self.options.cache_dir and self.options.persist:
             from repro.codecache import PersistentCodeCache
             self.codecache = PersistentCodeCache(
-                self.options.cache_dir,
-                budget_bytes=self.options.cache_budget_bytes,
-                telemetry=self.telemetry)
+                self.options.cache_dir, telemetry=self.telemetry)
         # The asynchronous compile queue: a private CompileServer when
-        # compile_workers > 0, or a shared one via attach_compile_server()
-        # or REPRO_COMPILE_SERVER=<cache-dir> (every Lancet in the
+        # compile_workers > 0, else a shared one via attach_compile_server()
+        # or REPRO_COMPILE_SERVER=<cache-dir> (every such Lancet in the
         # process becomes a tenant of one server over that directory).
         # Without one, every compile is synchronous.
         self.compile_server = None
@@ -96,17 +92,17 @@ class Lancet:
             self.compile_tenant = self.compile_server.register_tenant()
             self._owns_server = True
         self.loaded_sources = []   # (source, module), for manifest export
-        server_dir = _os.environ.get("REPRO_COMPILE_SERVER")
-        if server_dir:
+        server_dir = compile_server_dir()
+        if server_dir and not self._owns_server:
             from repro.server import shared_server
             try:
                 self.attach_compile_server(shared_server(server_dir))
             except Exception as exc:
                 self.telemetry.record("server.attach_failed",
                                       error=str(exc))
-        # Tier T, the trace-recording tier: explicit opt-in (options or
-        # REPRO_TRACE_TIER=1), like every other piece of policy here.
-        if self.options.trace_tier or _os.environ.get("REPRO_TRACE_TIER"):
+        # Tier T, the trace-recording tier: explicit opt-in, like every
+        # other piece of policy here.
+        if self.options.trace_tier:
             self.enable_trace_tier()
 
     # -- loading -----------------------------------------------------------------

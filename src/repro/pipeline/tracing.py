@@ -54,6 +54,9 @@ from repro.runtime.objects import Obj
 #: Per-site failed-recording budget before the site is never traced again.
 ABORT_BUDGET = 5
 
+#: Inlined guest frames a recording may hold; deeper calls stay residual.
+MAX_INLINE_FRAMES = 8
+
 #: Interpreted instructions a residual (non-inlined) call may execute
 #: before the recording gives up waiting for it to return.
 _SKIP_BUDGET = 200_000
@@ -368,7 +371,7 @@ class TraceRecording:
         return self.emit(opname, (a, b), Effect.PURE)
 
     def _can_inline(self, method):
-        if len(self.shadow) >= self.manager.options.trace_max_depth:
+        if len(self.shadow) >= MAX_INLINE_FRAMES:
             return False
         return all(sf.method is not method for sf in self.shadow)
 
@@ -615,7 +618,7 @@ class TraceManager:
 
     def _start_bridge(self, trace, meta_id):
         result = trace.result
-        guard = self._find_guard(result, meta_id)
+        __, guard = self._find_guard(result, meta_id)
         if guard is None:
             trace.bridge_failed.add(meta_id)
             return
@@ -642,9 +645,6 @@ class TraceManager:
         rec.live_slots = trace.live_slots
         rec.trace = trace
         rec.bridge_meta_id = meta_id
-        # Snapshot the root frame's locals: the stitcher must know which
-        # slots the bridge *wrote* (vs merely started from).
-        rec.start_root_locals = list(shadow[0].locals)
         self.recording = rec
         self.vm.trace_recorder = rec
         self.telemetry.inc("trace.records")
@@ -854,13 +854,16 @@ class TraceManager:
         if trace.total_exits > self.options.trace_exit_budget:
             self._blacklist_trace(trace, "exit budget exhausted")
 
-    def _find_guard(self, result, meta_id):
-        for bid in sorted(result.blocks):
+    @staticmethod
+    def _find_guard(result, meta_id):
+        """(host block id, guard) of deopt meta ``meta_id``, or a pair of
+        None when the trace has no IR or no such guard."""
+        for bid in sorted(result.blocks) if result is not None else ():
             for stmt in result.blocks[bid].stmts:
                 if stmt.op in ("guard", "guard_not") \
                         and stmt.args[1] == meta_id:
-                    return stmt
-        return None
+                    return bid, stmt
+        return None, None
 
     def _stitch(self, rec, kind, ret=None):
         """Splice a finished bridge into its trace: the bridged guard
@@ -870,18 +873,7 @@ class TraceManager:
         trace = rec.trace
         meta_id = rec.bridge_meta_id
         result = trace.result
-        guard = None
-        host_bid = None
-        if result is not None:
-            for bid in sorted(result.blocks):
-                for stmt in result.blocks[bid].stmts:
-                    if stmt.op in ("guard", "guard_not") \
-                            and stmt.args[1] == meta_id:
-                        guard = stmt
-                        host_bid = bid
-                        break
-                if guard is not None:
-                    break
+        host_bid, guard = self._find_guard(result, meta_id)
         if guard is None:
             trace.bridge_failed.add(meta_id)
             return
@@ -895,11 +887,18 @@ class TraceManager:
             # from the entry value forever. The deopt-state verifier
             # reports the violation statically (with bci provenance);
             # keep the deopt exit instead — the enclosing loop's own
-            # trace covers this path.
+            # trace covers this path. Compare with the values the trace
+            # enters its header with (its params a1..an), not with the
+            # bridge's start: a bridge recorded off an exit of an earlier
+            # bridge already starts from that bridge's writes.
             from repro.analysis.deoptcheck import check_bridge_stitch
+            end = rec.shadow[0].locals
+            entry = list(end)
+            for k, slot in enumerate(trace.live_slots):
+                entry[slot] = Sym("a%d" % (k + 1))
             findings = check_bridge_stitch(
-                result, trace.live_slots, rec.start_root_locals,
-                rec.shadow[0].locals, rec.root_method, rec.header_bci)
+                result, trace.live_slots, entry, end, rec.root_method,
+                rec.header_bci)
             if findings:
                 trace.bridge_failed.add(meta_id)
                 self.telemetry.inc("deoptcheck.bridge_rejects")

@@ -76,6 +76,17 @@ class TestSolver:
         assert "a" in live[0][1]        # live-out of B0
         assert "b" not in live[0][1]
 
+    def test_backward_solves_unreachable_blocks(self):
+        # B1 -> B2 is unreachable from B0, yet still solved to fixpoint.
+        blocks = {
+            0: _block(0, [], Return(ConstRep(0))),
+            1: _block(1, [], Jump(2, [])),
+            2: _block(2, [], Return(Sym("c"))),
+        }
+        live = live_sets(blocks, 0)
+        assert live[1] == (frozenset({"c"}), frozenset({"c"}))
+        assert live[2][0] == frozenset({"c"})
+
 
 class TestVerifier:
     def test_clean_cfg_passes(self):

@@ -69,9 +69,7 @@ def _jit_stats(capsys):
     return json.loads(err[err.index("{"):])
 
 
-def test_jit_cache_dir_cold_then_warm(program, capsys, tmp_path,
-                                      monkeypatch):
-    monkeypatch.delenv("REPRO_NO_PERSIST", raising=False)
+def test_jit_cache_dir_cold_then_warm(program, capsys, tmp_path):
     cache = str(tmp_path / "cc")
     assert main(["jit", program, "square", "6", "--cache-dir", cache,
                  "--jit-stats"]) == 0
@@ -87,8 +85,7 @@ def test_jit_cache_dir_cold_then_warm(program, capsys, tmp_path,
     assert warm["compiles"] == 0
 
 
-def test_jit_no_persist_flag(program, capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_NO_PERSIST", raising=False)
+def test_jit_no_persist_flag(program, capsys, tmp_path):
     import os
     cache = str(tmp_path / "cc")
     assert main(["jit", program, "square", "6", "--cache-dir", cache,

@@ -29,13 +29,6 @@ from repro.server import (PRIORITY_OSR, PRIORITY_PREFETCH, PRIORITY_TIER1,
                           PRIORITY_TIER2, CompileServer, daemon)
 from tests.conftest import load
 
-@pytest.fixture(autouse=True)
-def _allow_persistence(monkeypatch):
-    """These tests exercise persistence itself (in isolated tmp dirs);
-    CI's REPRO_NO_PERSIST blanket run must not turn them into no-ops."""
-    monkeypatch.delenv("REPRO_NO_PERSIST", raising=False)
-
-
 SRC = '''
     def addmul(x) {
       var acc = 7;
@@ -112,9 +105,9 @@ class TestPersistentStore:
     def test_fingerprint_ignores_non_codegen_options(self, tmp_path):
         j1 = load_cached(tmp_path)
         j1.compile_function("Main", "addmul")
-        # cache_budget_bytes / compile_workers don't affect generated
-        # code, so they must not force a cold start.
-        j2 = load_cached(tmp_path, cache_budget_bytes=32 << 20)
+        # Trace-tier counters don't affect generated code, so they must
+        # not force a cold start.
+        j2 = load_cached(tmp_path, trace_threshold=7)
         j2.compile_function("Main", "addmul")
         assert j2.stats()["compiles"] == 0
         j2.close()
@@ -231,12 +224,6 @@ class TestPersistentStore:
         j.compile_function("Main", "addmul")
         assert j.codecache is None
         assert j.stats()["codecache"]["enabled"] is False
-
-    def test_no_persist_env_var_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PERSIST", "1")
-        j = load_cached(tmp_path)
-        j.compile_function("Main", "addmul")
-        assert j.codecache is None
 
     def test_unwritable_cache_dir_degrades(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -737,7 +724,6 @@ def _run_cli(tmp_path, *extra, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
                                      "src")
-    env.pop("REPRO_NO_PERSIST", None)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "jit", str(prog), "hot", "4",
          "--cache-dir", str(tmp_path / "cc")] + list(extra),

@@ -23,13 +23,19 @@ NODE = shutil.which("node")
 
 # -- structured program generator ---------------------------------------------
 # Programs are generated as (source, free variables used). Loops are always
-# canonical counting loops, so every program terminates.
+# canonical counting loops, so every program terminates. Guest ints are
+# unbounded, so to keep runs cheap every value a program stores is linear
+# in the variables (a product takes a literal factor): a loop can grow a
+# value only geometrically, never square it on every iteration. Products
+# of two variables appear only where nothing is stored (prints, conditions,
+# the return value); TestDifferential.test_huge_int_program pins the
+# squaring case.
 
 VARS = ["a", "b", "t0", "t1", "t2"]
 
 
 @st.composite
-def int_expr(draw, depth=0, env=("a", "b")):
+def int_expr(draw, depth=0, env=("a", "b"), linear=False):
     if depth >= 3:
         choice = draw(st.integers(0, 1))
     else:
@@ -38,10 +44,12 @@ def int_expr(draw, depth=0, env=("a", "b")):
         return str(draw(st.integers(-9, 9)))
     if choice == 1:
         return draw(st.sampled_from(list(env)))
-    lhs = draw(int_expr(depth=depth + 1, env=env))
-    rhs = draw(int_expr(depth=depth + 1, env=env))
+    lhs = draw(int_expr(depth=depth + 1, env=env, linear=linear))
+    rhs = draw(int_expr(depth=depth + 1, env=env, linear=linear))
     if choice <= 4:
         op = draw(st.sampled_from(["+", "-", "*"]))
+        if op == "*" and linear:
+            rhs = str(draw(st.integers(-9, 9)))
         return "(%s %s %s)" % (lhs, op, rhs)
     if choice == 5:
         # Division/modulo by a guaranteed-nonzero constant.
@@ -87,19 +95,22 @@ def stmt_block(draw, depth, env):
                 kind = 1
             else:
                 stmts.append("var %s = %s;"
-                             % (name, draw(int_expr(env=tuple(env)))))
+                             % (name, draw(int_expr(env=tuple(env),
+                                                    linear=True))))
                 env.append(name)
                 continue
         if kind == 1:           # assignment
             target = draw(st.sampled_from(env))
             stmts.append("%s = %s;" % (target,
-                                       draw(int_expr(env=tuple(env)))))
+                                       draw(int_expr(env=tuple(env),
+                                                     linear=True))))
         elif kind == 2:         # print
             stmts.append("println(%s);" % draw(int_expr(env=tuple(env))))
         elif kind == 3:         # accumulate via arithmetic
             target = draw(st.sampled_from(env))
             stmts.append("%s = %s + %s;"
-                         % (target, target, draw(int_expr(env=tuple(env)))))
+                         % (target, target, draw(int_expr(env=tuple(env),
+                                                          linear=True))))
         elif kind == 4:         # if/else
             cond = draw(bool_expr(env=tuple(env)))
             then = draw(stmt_block(depth + 1, tuple(env)))
@@ -166,6 +177,33 @@ class TestDifferential:
         jit = Lancet(options=CompileOptions(inline_policy="never"))
         jit.load(source)
         assert_compiled_equals_interpreted(jit, source, a, b)
+
+    # Squares on every iteration: 3 ** (2 ** 16) has over 100,000 bits.
+    # The generator never stores such a value, so the bignum path (the
+    # SafeInt premise, paper 3.2) is checked here.
+    HUGE_INT_SRC = '''
+        def f(a, b) {
+          var i0 = 0;
+          while (i0 < 4) {
+            var i1 = 0;
+            while (i1 < 4) { a = a * a + b; i1 = i1 + 1; }
+            i0 = i0 + 1;
+          }
+          println(a % 1000000007);
+          return a;
+        }
+    '''
+
+    def test_huge_int_program(self):
+        jit = Lancet()
+        jit.load(self.HUGE_INT_SRC)
+        assert_compiled_equals_interpreted(jit, self.HUGE_INT_SRC, 3, 1)
+        expected = jit.vm.call("Main", "f", [3, 1])
+        assert expected.bit_length() > 100_000
+        traced = trace_lancet(self.HUGE_INT_SRC)
+        for _ in range(6):
+            assert traced.vm.call("Main", "f", [3, 1]) == expected
+        assert traced.stats()["traces"]["compiles"] >= 1
 
 
 # Option variants that must not change observable behaviour: inlining

@@ -362,8 +362,12 @@ class TestOptionsKey:
         unit_key = j._unit_key(method, None, base)
         derived = tier_options(base, TIER2)
         for field in dataclasses.fields(CompileOptions):
-            other = dataclasses.replace(
-                base, **{field.name: _changed(getattr(base, field.name))})
+            # parsafe accepts only its modes; every other field any value.
+            if field.name == "parsafe":
+                value = "check" if base.parsafe == "off" else "off"
+            else:
+                value = _changed(getattr(base, field.name))
+            other = dataclasses.replace(base, **{field.name: value})
             assert other.key() != base.key(), field.name
             assert j._unit_key(method, None, other) != unit_key, field.name
             assert tier_options(other, TIER2) is not derived, field.name

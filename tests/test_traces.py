@@ -11,6 +11,9 @@ never happens.
 
 from __future__ import annotations
 
+import signal
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from tests.test_differential import guest_program
 
@@ -260,6 +263,41 @@ class TestBridges:
         assert traces_stats(j)["exits"] == before
 
 
+    NEST_SRC = '''
+        def f(a, b) {
+          var i0 = 0;
+          while (i0 < 3) {
+            var i1 = 0;
+            while (i1 < 6) { b = b + a; i1 = i1 + 1; }
+            i0 = i0 + 1;
+          }
+          return b;
+        }
+    '''
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                        reason="needs SIGALRM to bound a runaway loop")
+    def test_bridge_off_a_bridge_keeps_the_outer_counter(self):
+        # The inner loop's trace treats the outer counter i0 as
+        # invariant. Its loop-exit bridge bumps i0 and deopts; a bridge
+        # recorded off that exit starts from the bumped i0 and must not
+        # be stitched back to a header that re-reads the entry i0 (the
+        # stitched loop would never end).
+        def runaway(signum, frame):
+            raise AssertionError("stitched trace loops forever")
+
+        j = trace_jit(self.NEST_SRC, trace_threshold=4, bridge_threshold=3)
+        previous = signal.signal(signal.SIGALRM, runaway)
+        signal.alarm(10)
+        try:
+            for _ in range(6):
+                assert j.vm.call("Main", "f", [3, 2]) == 2 + 3 * 18
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert j.telemetry.metrics.get("deoptcheck.bridge_rejects") >= 1
+
+
 class TestBlacklist:
     def test_exit_budget_blacklists_thrashing_trace(self):
         j = trace_jit(ALTERNATE_SRC, trace_threshold=5,
@@ -280,9 +318,7 @@ class TestBlacklist:
 
 
 class TestPersistence:
-    def test_trace_unit_round_trips_through_code_cache(self, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.delenv("REPRO_NO_PERSIST", raising=False)
+    def test_trace_unit_round_trips_through_code_cache(self, tmp_path):
         opts = dict(trace_tier=True, verify_ir=True, trace_threshold=5,
                     bridge_threshold=3, cache_dir=str(tmp_path))
 
@@ -303,9 +339,7 @@ class TestPersistence:
         assert s["recordings"] == 0
         assert s["entries"] >= 1
 
-    def test_blacklist_invalidates_persisted_trace(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.delenv("REPRO_NO_PERSIST", raising=False)
+    def test_blacklist_invalidates_persisted_trace(self, tmp_path):
         opts = dict(trace_tier=True, verify_ir=True, trace_threshold=5,
                     bridge_threshold=10 ** 9, trace_exit_budget=5,
                     cache_dir=str(tmp_path))

@@ -395,6 +395,48 @@ class TestValidatorUnit:
         findings = validate_pass("licm", before2, result2)
         assert any("dropped effectful op" in f for f in findings)
 
+    def test_cse_onto_a_back_edge_is_sound(self):
+        # B1(p) guards lt(p, add(p, p)); the back edge carries a second
+        # add(p, p). CSE sends the guarded one round the loop instead,
+        # which must leave the guard's condition term unchanged.
+        def loop(back):
+            b0 = Block(0)
+            b0.terminator = Jump(1, [("p", Sym("a1"))])
+            b1 = Block(1, ["p"])
+            b1.stmts = [
+                Stmt(Sym("t"), "add", (Sym("p"), Sym("p")), Effect.PURE,
+                     {"num": True}),
+                Stmt(Sym("c"), "lt", (Sym("p"), Sym("t")), Effect.PURE,
+                     {"num": True}),
+                Stmt(Sym("g"), "guard", (Sym("c"), 0, Sym("p")),
+                     Effect.GUARD),
+                Stmt(Sym("u"), "add", (Sym("p"), Sym("p")), Effect.PURE,
+                     {"num": True})]
+            b1.terminator = Jump(1, [("p", Sym(back))])
+            return make_result({0: b0, 1: b1},
+                               metas=[DeoptMeta([], reason="branch")])
+
+        before = snapshot_ir(loop("u"))
+        after = loop("t")
+        del after.blocks[1].stmts[3]
+        assert validate_pass("gvn", before, after) == []
+
+    def test_shared_subterms_stay_cheap(self):
+        # v64 = v63 - v63 = ... : as a tree its term has 2**64 leaves,
+        # but interned it is 64 nodes, so snapshot and check are fast.
+        b0 = Block(0)
+        prev = Sym("a1")
+        for i in range(64):
+            b0.stmts.append(Stmt(Sym("v%d" % i), "sub", (prev, prev),
+                                 Effect.PURE, {"num": True}))
+            prev = Sym("v%d" % i)
+        b0.stmts.append(Stmt(Sym("w"), "native", ("out", prev), Effect.IO))
+        b0.terminator = Return(prev)
+        result = make_result({0: b0})
+        before = snapshot_ir(result)
+        assert len(before.intern) < 100
+        assert validate_pass("gvn", before, result) == []
+
     def test_rename_is_sound(self):
         result = self.linear_result()
         before = snapshot_ir(result)
