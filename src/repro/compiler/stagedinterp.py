@@ -49,12 +49,12 @@ from repro.analysis.liveness import live_at
 from repro.compiler.options import CompileOptions
 from repro.errors import (CompilationError, GuestError, LinkError,
                           MaterializeError, UnrollError)
+from repro.interp.handlers import DISPATCH, OPSPECS, STACK_OPS
 from repro.lms.ir import Branch, Deopt, Effect, Jump, OsrCompile, Return
 from repro.lms.rep import ConstRep, StaticRep, Sym
 from repro.lms.staging import StagingContext, _Statics
 from repro.macros.api import (FastpathDirective, MacroContext, MacroInline,
                               ReturnDirective, SlowpathDirective)
-from repro.runtime import ops as guest_ops
 from repro.runtime.natives import lookup_native
 from repro.runtime.objects import Obj
 
@@ -103,6 +103,14 @@ class AbstractFrame:
     def pop(self):
         self.tos -= 1
         return self.locals[self.tos]
+
+    def peek(self):
+        return self.locals[self.tos - 1]
+
+    def pop_n(self, n):
+        """Pop the top ``n`` reps; returns them bottom to top."""
+        self.tos -= n
+        return self.locals[self.tos:self.tos + n]
 
     def stack_reps(self):
         return self.locals[self.method.num_locals:self.tos]
@@ -485,23 +493,13 @@ class StagedInterpreter:
                 field_pending.clear()
 
     def emit_native(self, state, nat, args):
-        if nat.pure:
-            effect = Effect.ALLOC if nat.allocates else Effect.PURE
-        elif nat.calls_guest:
-            effect = Effect.CALL
-        elif nat.allocates:
-            # Non-pure only to block folding/CSE (each call is a fresh
-            # array); the sole effect is the allocation itself, so the
-            # result is dead-code removable and mutates nothing existing.
-            effect = Effect.ALLOC
-        else:
-            effect = Effect.IO
         for a in args:
             self.escape(state, a)
-        if effect in (Effect.IO, Effect.CALL):
+        if nat.effect in (Effect.IO, Effect.CALL):
             for a in args:
                 self._note_static_write(state, a)
-        sym = self.emit(state, "native", (nat,) + tuple(args), effect=effect,
+        sym = self.emit(state, "native", (nat,) + tuple(args),
+                        effect=nat.effect,
                         absval=Unknown(ty=nat.result_ty,
                                        nonnull=nat.result_ty is not None))
         if nat.allocates:
@@ -884,38 +882,22 @@ class StagedInterpreter:
             push = frame.push
             pop = frame.pop
 
-            if op is Op.LOAD:
-                push(frame.locals[ins.arg])
+            if op in STACK_OPS:
+                DISPATCH[op](None, frame, ins.arg)
             elif op is Op.CONST:
                 push(ConstRep(ins.arg))
-            elif op is Op.STORE:
-                frame.locals[ins.arg] = pop()
-            elif op in _BIN_OPS:
-                b = pop()
-                a = pop()
-                push(self._binop(state, _BIN_OPS[op], a, b))
-            elif op is Op.NEG:
-                a = pop()
-                av = self.eval_abs(state, a)
-                if isinstance(av, Const):
-                    try:
-                        push(self.ctx.lift(guest_ops.guest_neg(av.value)))
-                        continue
-                    except GuestError:
-                        pass
-                flags = {"num": True} if av.type_hint() == "num" else None
-                push(self.emit(state, "neg", (a,), flags=flags,
-                               absval=Unknown(ty=av.type_hint())))
-            elif op is Op.NOT:
-                a = pop()
-                av = self.eval_abs(state, a)
-                if isinstance(av, Const):
-                    push(ConstRep(not av.value))
-                elif av.is_static_value:
-                    push(ConstRep(not self.static_value(state, a)))
-                else:
-                    push(self.emit(state, "not", (a,),
-                                   absval=Unknown(ty="bool")))
+            elif op is Op.THROW:
+                v = pop()
+                self.escape(state, v)
+                self.emit(state, "throw", (v,), effect=Effect.IO)
+                block.terminator = Return(ConstRep(None))
+                return
+            elif op in OPSPECS:
+                spec = OPSPECS[op]
+                rep = self._value_op(state, spec, frame.pop_n(spec.pops),
+                                     ins.arg)
+                if spec.pushes:
+                    push(rep)
             elif op is Op.JUMP:
                 if self._goto(state, block, ins.arg) is _END:
                     return
@@ -959,88 +941,36 @@ class StagedInterpreter:
                     return
             elif op is Op.INVOKE:
                 name, argc = ins.arg
-                args = [pop() for __ in range(argc)]
-                args.reverse()
+                args = frame.pop_n(argc)
                 recv = pop()
                 if self._invoke_virtual(state, block, recv, name, args) is _END:
                     return
             elif op is Op.INVOKE_STATIC:
                 cls_name, name, argc = ins.arg
-                args = [pop() for __ in range(argc)]
-                args.reverse()
+                args = frame.pop_n(argc)
                 if self._invoke_static(state, block, cls_name, name,
                                        args) is _END:
                     return
-            elif op is Op.GETFIELD:
-                push(self._getfield(state, pop(), ins.arg))
-            elif op is Op.PUTFIELD:
-                value = pop()
-                obj = pop()
-                self._putfield(state, obj, ins.arg, value)
             elif op is Op.NEW:
                 cls = self.linker.resolve_class(ins.arg)
-                sym = self.ctx.fresh_sym("o")
-                state.heap[sym.name] = HeapEntry(
+                push(self._virtual(state, HeapEntry(
                     "obj", cls=cls,
-                    fields={name: ConstRep(None) for name in cls.all_fields})
-                push(sym)
-            elif op is Op.NEW_ARRAY:
-                n = pop()
-                av = self.eval_abs(state, n)
-                if isinstance(av, Const) and isinstance(av.value, int) \
-                        and 0 <= av.value <= 4096:
-                    sym = self.ctx.fresh_sym("o")
-                    state.heap[sym.name] = HeapEntry(
-                        "arr", elems=[ConstRep(None)] * av.value)
-                    push(sym)
-                else:
-                    sym = self.emit(state, "new_array", (n,),
-                                    effect=Effect.ALLOC,
-                                    absval=Unknown(ty="arr", nonnull=True))
-                    self._fresh_arrays.add(sym.name)
-                    push(sym)
+                    fields={name: ConstRep(None) for name in cls.all_fields})))
             elif op is Op.ARRAY_LIT:
-                elems = [pop() for __ in range(ins.arg)]
-                elems.reverse()
-                sym = self.ctx.fresh_sym("o")
-                state.heap[sym.name] = HeapEntry("arr", elems=elems)
-                push(sym)
-            elif op is Op.ALOAD:
-                i = pop()
-                arr = pop()
-                push(self._aload(state, arr, i))
-            elif op is Op.ASTORE:
-                v = pop()
-                i = pop()
-                arr = pop()
-                self._astore(state, arr, i, v)
-            elif op is Op.ALEN:
-                push(self._alen(state, pop()))
-            elif op is Op.POP:
-                pop()
-            elif op is Op.DUP:
-                top = pop()
-                push(top)
-                push(top)
-            elif op is Op.SWAP:
-                a = pop()
-                b = pop()
-                push(a)
-                push(b)
-            elif op is Op.INSTANCEOF:
-                push(self._instanceof(state, pop(), ins.arg))
-            elif op is Op.THROW:
-                v = pop()
-                self.escape(state, v)
-                self.emit(state, "throw", (v,), effect=Effect.IO)
-                block.terminator = Return(ConstRep(None))
-                return
+                push(self._virtual(state, HeapEntry(
+                    "arr", elems=frame.pop_n(ins.arg))))
             else:  # pragma: no cover
                 raise CompilationError("bad opcode %r" % (op,))
 
     # ------------------------------------------------------------------
     # Returns and macro-directive plumbing
     # ------------------------------------------------------------------
+
+    def _virtual(self, state, entry):
+        """A scalar-replaced allocation: a fresh sym naming ``entry``."""
+        sym = self.ctx.fresh_sym("o")
+        state.heap[sym.name] = entry
+        return sym
 
     def _handle_return(self, state, block, rep):
         frame = state.frame
@@ -1254,10 +1184,50 @@ class StagedInterpreter:
         return _CONTINUE
 
     # ------------------------------------------------------------------
-    # Heap operations (paper 2.2: the getFieldObject shortcut et al.)
+    # Value ops: the OPSPECS table, staged
     # ------------------------------------------------------------------
 
-    def _getfield(self, state, obj, name):
+    def _value_op(self, state, spec, operands, imm=None):
+        """Stage an :data:`OPSPECS` opcode on ``operands`` (bottom to top)
+        and immediate ``imm``: a pure op on static operands folds through
+        the interpreter's helper (a fold that raises stays residual),
+        anything else goes to its rule in :data:`_STAGING_RULES`. ALEN
+        folds only by its own rule, gated on ``assume_static_arrays``."""
+        if spec.effect is Effect.PURE and spec.op is not Op.ALEN:
+            values = [self.static_value(state, r) for r in operands]
+            if all(v is not _NO_VALUE for v in values):
+                if spec.imm:
+                    values.append(imm)
+                try:
+                    return self.ctx.lift(spec.helper(*values))
+                except GuestError:
+                    pass
+        return _STAGING_RULES[spec.op](self, state, spec,
+                                       *spec.ir_args(operands, imm))
+
+    def _neg(self, state, spec, a):
+        hint = self.eval_abs(state, a).type_hint()
+        flags = {"num": True} if hint == "num" else None
+        return self.emit(state, "neg", (a,), flags=flags,
+                         absval=Unknown(ty=hint))
+
+    def _not(self, state, spec, a):
+        return self.emit(state, "not", (a,), absval=Unknown(ty="bool"))
+
+    def _new_array(self, state, spec, n):
+        av = self.eval_abs(state, n)
+        if isinstance(av, Const) and isinstance(av.value, int) \
+                and 0 <= av.value <= 4096:
+            return self._virtual(state, HeapEntry(
+                "arr", elems=[ConstRep(None)] * av.value))
+        sym = self.emit(state, "new_array", (n,), effect=Effect.ALLOC,
+                        absval=Unknown(ty="arr", nonnull=True))
+        self._fresh_arrays.add(sym.name)
+        return sym
+
+    # -- heap operations (paper 2.2: the getFieldObject shortcut et al.) ------
+
+    def _getfield(self, state, spec, obj, name):
         av = self.eval_abs(state, obj)
         if isinstance(av, Partial):
             if name in av.fields:
@@ -1298,7 +1268,7 @@ class StagedInterpreter:
         return self.emit(state, "getfield", (obj, name), effect=Effect.READ,
                          flags=flags, absval=UNKNOWN)
 
-    def _putfield(self, state, obj, name, value):
+    def _putfield(self, state, spec, obj, name, value):
         if isinstance(obj, Sym):
             entry = state.heap.get(obj.name)
             if entry is not None and not entry.materialized:
@@ -1327,7 +1297,7 @@ class StagedInterpreter:
         if isinstance(av, Static) and isinstance(av.obj, Obj):
             self._forward[("f", id(av.obj), name)] = value
 
-    def _aload(self, state, arr, i):
+    def _aload(self, state, spec, arr, i):
         av_arr = self.eval_abs(state, arr)
         av_i = self.eval_abs(state, i)
         if isinstance(av_arr, PartialArray) and isinstance(av_i, Const):
@@ -1339,8 +1309,7 @@ class StagedInterpreter:
                 and self.options.assume_static_arrays \
                 and id(av_arr.obj) not in self._written_statics:
             try:
-                return self.ctx.lift(guest_ops.guest_aload(av_arr.obj,
-                                                           av_i.value))
+                return self.ctx.lift(spec.helper(av_arr.obj, av_i.value))
             except GuestError:
                 pass
         if isinstance(arr, Sym):
@@ -1370,7 +1339,7 @@ class StagedInterpreter:
             self._forward[key] = sym
         return sym
 
-    def _astore(self, state, arr, i, v):
+    def _astore(self, state, spec, arr, i, v):
         if isinstance(arr, Sym):
             entry = state.heap.get(arr.name)
             if entry is not None and not entry.materialized \
@@ -1410,7 +1379,7 @@ class StagedInterpreter:
                 self._written_statics.add(id(av.obj))
                 self._pass_changed = True
 
-    def _alen(self, state, arr):
+    def _alen(self, state, spec, arr):
         av = self.eval_abs(state, arr)
         if isinstance(av, PartialArray):
             return ConstRep(len(av.elems))
@@ -1424,18 +1393,11 @@ class StagedInterpreter:
         return self.emit(state, "alen", (arr,), flags=flags,
                          absval=Unknown(ty="num"))
 
-    def _instanceof(self, state, rep, cls_name):
+    def _instanceof(self, state, spec, rep, cls_name):
         av = self.eval_abs(state, rep)
+        if isinstance(av, Partial):
+            return ConstRep(av.cls.is_subclass_of(cls_name))
         hint = av.type_hint()
-        if isinstance(av, (Partial, Static)) or isinstance(av, Const):
-            value = av.obj if isinstance(av, Static) else (
-                None if isinstance(av, Const) else None)
-            if isinstance(av, Partial):
-                return ConstRep(av.cls.is_subclass_of(cls_name))
-            if isinstance(av, Static):
-                return ConstRep(isinstance(value, Obj)
-                                and value.cls.is_subclass_of(cls_name))
-            return ConstRep(False)
         if hint is not None and hint.startswith("obj:"):
             cls = self.linker.classes.get(hint[4:])
             if cls is not None and cls.is_subclass_of(cls_name):
@@ -1445,21 +1407,12 @@ class StagedInterpreter:
         return self.emit(state, "instanceof", (rep, cls_name),
                          absval=Unknown(ty="bool"))
 
-    # ------------------------------------------------------------------
-    # Arithmetic folding (paper 2.2's infix_+ rewrite, generalized)
-    # ------------------------------------------------------------------
+    # -- arithmetic (paper 2.2's infix_+ rewrite, generalized) ----------------
 
-    def _binop(self, state, opname, a, b):
+    def _binop(self, state, spec, a, b):
+        opname = spec.ir
         av_a = self.eval_abs(state, a)
         av_b = self.eval_abs(state, b)
-        fold = guest_ops.BINOPS[opname.upper()]
-        if av_a.is_static_value and av_b.is_static_value:
-            va = self.static_value(state, a)
-            vb = self.static_value(state, b)
-            try:
-                return self.ctx.lift(fold(va, vb))
-            except GuestError:
-                pass  # fold would raise; leave it to runtime
         ta, tb = av_a.type_hint(), av_b.type_hint()
         flags = None
         result_ty = None
@@ -1525,11 +1478,22 @@ class StagedInterpreter:
         return None
 
 
-_BIN_OPS = {
-    Op.ADD: "add", Op.SUB: "sub", Op.MUL: "mul", Op.DIV: "div",
-    Op.MOD: "mod", Op.EQ: "eq", Op.NE: "ne", Op.LT: "lt", Op.LE: "le",
-    Op.GT: "gt", Op.GE: "ge",
+#: Each value opcode's staging rule, for what :meth:`_value_op` does not
+#: fold: ``rule(machine, state, spec, *ir_args)``.
+_STAGING_RULES = {
+    Op.NEG: StagedInterpreter._neg,
+    Op.NOT: StagedInterpreter._not,
+    Op.GETFIELD: StagedInterpreter._getfield,
+    Op.PUTFIELD: StagedInterpreter._putfield,
+    Op.INSTANCEOF: StagedInterpreter._instanceof,
+    Op.NEW_ARRAY: StagedInterpreter._new_array,
+    Op.ALOAD: StagedInterpreter._aload,
+    Op.ASTORE: StagedInterpreter._astore,
+    Op.ALEN: StagedInterpreter._alen,
 }
+_STAGING_RULES.update(dict.fromkeys(
+    (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.EQ, Op.NE, Op.LT, Op.LE,
+     Op.GT, Op.GE), StagedInterpreter._binop))
 
 
 class _NoValueType:

@@ -224,4 +224,5 @@ def _indexify_kernel(jit, pair_kernel):
     wrapper.fields["f"] = closure
     kernel = Kernel.from_closure(jit, wrapper, name="soa:%s"
                                  % pair_kernel.name)
+    kernel.fused = True    # zipWithIndex fused into the map
     return kernel

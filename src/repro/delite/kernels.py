@@ -44,15 +44,17 @@ _VEC_NATIVES = {
 
 
 class Kernel:
-    """A per-element function in scalar and (optionally) vector form."""
+    """A per-element function in scalar and (optionally) vector form.
+    ``fused`` marks a kernel a fusion rewrite built out of others."""
 
     def __init__(self, scalar_fn, arity, numpy_fn=None, name="kernel",
-                 numpy_source=None):
+                 numpy_source=None, fused=False):
         self.scalar_fn = scalar_fn
         self.arity = arity
         self.numpy_fn = numpy_fn
         self.name = name
         self.numpy_source = numpy_source
+        self.fused = fused
 
     @property
     def vectorized(self):
@@ -93,7 +95,7 @@ class Kernel:
                 return outer_v(inner_v(*xs))
 
         return Kernel(fused_scalar, self.arity, numpy_fn=fused_numpy,
-                      name="%s∘%s" % (outer.name, self.name))
+                      name="%s∘%s" % (outer.name, self.name), fused=True)
 
     def __repr__(self):
         return "<Kernel %s/%d%s>" % (self.name, self.arity,

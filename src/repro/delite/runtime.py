@@ -103,7 +103,7 @@ class DeliteRuntime:
     def run(self, op, *args):
         """Execute one op. The first ``op.n_elem`` args are element inputs."""
         self.ops_run += 1
-        fused = "∘" in getattr(getattr(op, "kernel", None), "name", "")
+        fused = getattr(getattr(op, "kernel", None), "fused", False)
         if fused:
             self.fused_ops_run += 1
         tel = self.telemetry

@@ -1,12 +1,15 @@
 """Per-opcode handlers: the single source of truth for guest semantics.
 
 Each MiniJVM opcode is implemented by one small function over the shared
-frame protocol (``push``/``pop``/``locals``/``bci``). The interpreter's
-dispatch loop indexes :data:`DISPATCH` by opcode; the Druid-style
-baseline compiler (:mod:`repro.baseline.templates`) walks the *same*
-:data:`OPSPECS` table to template-compile each opcode to CPython
-bytecode that calls the *same* :mod:`repro.runtime.ops` helpers. One
-definition of the semantics, two executions of it — the property the
+frame protocol (``push``/``pop``/``peek``/``locals``/``bci``). One
+definition of the semantics, four executions of it: the interpreter's
+dispatch loop indexes :data:`DISPATCH`; the Druid-style baseline
+(:mod:`repro.baseline.templates`) template-compiles each :data:`OPSPECS`
+entry to CPython bytecode calling the *same* :mod:`repro.runtime.ops`
+helpers; the staged interpreter and the trace recorder run the
+:data:`STACK_OPS` handlers over frames of staged values, fold a pure
+:data:`OPSPECS` op on constant operands through its helper, and
+otherwise emit its declared IR op and effect. That is the property the
 paper's tier ladder (and our OSR/deopt machinery) relies on.
 
 Handler contract::
@@ -27,7 +30,8 @@ nothing for them).
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import STACK_EFFECT, Op
+from repro.lms.ir import Effect
 from repro.runtime import ops
 from repro.runtime.objects import new_instance
 
@@ -46,45 +50,54 @@ class _Return:
 
 class OpSpec:
     """Declarative semantics of one value opcode: the shared runtime
-    helper implementing it, its stack arity, and whether the
-    instruction's immediate argument is appended to the helper call
-    (operands are passed bottom-to-top, immediate last). Both the
-    interpreter handlers and the baseline bytecode templates are
-    generated from this table."""
+    helper implementing it (operands bottom-to-top, then the immediate
+    if ``imm``), its stack arity (from ``STACK_EFFECT``), and the IR op
+    ``ir`` it stages to with that op's ``effect``. IR arguments place the
+    immediate after the first operand (:meth:`ir_args`)."""
 
-    __slots__ = ("op", "helper", "pops", "pushes", "imm")
+    __slots__ = ("op", "helper", "pops", "pushes", "imm", "ir", "effect")
 
-    def __init__(self, op, helper, pops, pushes, imm=False):
+    def __init__(self, op, helper, imm=False, effect=Effect.PURE):
         self.op = op
         self.helper = helper
-        self.pops = pops
-        self.pushes = pushes
+        self.pops, self.pushes = STACK_EFFECT[op]
         self.imm = imm
+        self.ir = op.name.lower()
+        self.effect = effect
+
+    def ir_args(self, operands, imm):
+        if self.imm:
+            return (operands[0], imm, *operands[1:])
+        return tuple(operands)
 
 
 OPSPECS = {
     spec.op: spec for spec in [
-        OpSpec(Op.ADD, ops.guest_add, 2, 1),
-        OpSpec(Op.SUB, ops.guest_sub, 2, 1),
-        OpSpec(Op.MUL, ops.guest_mul, 2, 1),
-        OpSpec(Op.DIV, ops.guest_div, 2, 1),
-        OpSpec(Op.MOD, ops.guest_mod, 2, 1),
-        OpSpec(Op.EQ, ops.guest_eq, 2, 1),
-        OpSpec(Op.NE, ops.guest_ne, 2, 1),
-        OpSpec(Op.LT, ops.guest_lt, 2, 1),
-        OpSpec(Op.LE, ops.guest_le, 2, 1),
-        OpSpec(Op.GT, ops.guest_gt, 2, 1),
-        OpSpec(Op.GE, ops.guest_ge, 2, 1),
-        OpSpec(Op.NEG, ops.guest_neg, 1, 1),
-        OpSpec(Op.NOT, ops.guest_not, 1, 1),
-        OpSpec(Op.ALOAD, ops.guest_aload, 2, 1),
-        OpSpec(Op.ASTORE, ops.guest_astore, 3, 0),
-        OpSpec(Op.ALEN, ops.guest_alen, 1, 1),
-        OpSpec(Op.NEW_ARRAY, ops.guest_newarray, 1, 1),
-        OpSpec(Op.GETFIELD, ops.guest_getfield, 1, 1, imm=True),
-        OpSpec(Op.PUTFIELD, ops.guest_setfield, 2, 0, imm=True),
-        OpSpec(Op.INSTANCEOF, ops.guest_instanceof, 1, 1, imm=True),
-        OpSpec(Op.THROW, ops.guest_throw, 1, 0),
+        OpSpec(Op.ADD, ops.guest_add),
+        OpSpec(Op.SUB, ops.guest_sub),
+        OpSpec(Op.MUL, ops.guest_mul),
+        OpSpec(Op.DIV, ops.guest_div),
+        OpSpec(Op.MOD, ops.guest_mod),
+        OpSpec(Op.EQ, ops.guest_eq),
+        OpSpec(Op.NE, ops.guest_ne),
+        OpSpec(Op.LT, ops.guest_lt),
+        OpSpec(Op.LE, ops.guest_le),
+        OpSpec(Op.GT, ops.guest_gt),
+        OpSpec(Op.GE, ops.guest_ge),
+        OpSpec(Op.NEG, ops.guest_neg),
+        OpSpec(Op.NOT, ops.guest_not),
+        OpSpec(Op.ALOAD, ops.guest_aload, effect=Effect.READ),
+        OpSpec(Op.ASTORE, ops.guest_astore, effect=Effect.WRITE),
+        OpSpec(Op.ALEN, ops.guest_alen),
+        OpSpec(Op.NEW_ARRAY, ops.guest_newarray, effect=Effect.ALLOC),
+        OpSpec(Op.GETFIELD, ops.guest_getfield, imm=True,
+               effect=Effect.READ),
+        OpSpec(Op.PUTFIELD, ops.guest_setfield, imm=True,
+               effect=Effect.WRITE),
+        OpSpec(Op.INSTANCEOF, ops.guest_instanceof, imm=True),
+        # A terminator in staging and an abort in recording: the one
+        # table opcode each engine handles by its own case.
+        OpSpec(Op.THROW, ops.guest_throw, effect=Effect.IO),
     ]
 }
 
@@ -239,6 +252,10 @@ def _op_invoke_static(vm, frame, arg):
 
 
 # -- the dispatch table -------------------------------------------------------
+
+#: Opcodes that only move values between locals and the operand stack:
+#: every engine runs their :data:`DISPATCH` handlers over its own frames.
+STACK_OPS = frozenset({Op.LOAD, Op.STORE, Op.POP, Op.DUP, Op.SWAP})
 
 
 def _build_dispatch():

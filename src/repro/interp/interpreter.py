@@ -158,7 +158,12 @@ class Interpreter:
             handler = dispatch[op]
             if handler is None:  # pragma: no cover - verifier precludes this
                 raise GuestError("bad opcode %r" % (op,))
-            result = handler(self, frame, ins.arg)
+            try:
+                result = handler(self, frame, ins.arg)
+            except ReproError as exc:
+                if self.trace_recorder is not None:  # traces skip error paths
+                    self.trace_recorder.on_error(exc)
+                raise
             if result is not None:
                 if result.__class__ is _Return:
                     return result.value

@@ -22,7 +22,9 @@ A macro is a host function ``fn(ctx, recv_rep, arg_reps)`` returning:
 from __future__ import annotations
 
 from repro.absint.absval import Const, Partial, PartialArray, Static, Unknown
+from repro.bytecode.opcodes import Op
 from repro.errors import FreezeError, MaterializeError
+from repro.interp.handlers import OPSPECS
 from repro.lms.ir import Effect
 from repro.lms.rep import ConstRep, StaticRep, Sym
 
@@ -151,7 +153,8 @@ class MacroContext:
         """Read ``rep.name`` through the optimizer (folds val fields of
         static/partial receivers) — lets virtual-method macros reach their
         receiver's state, as the paper's OptiML macros do."""
-        return self.machine._getfield(self.state, rep, name)
+        return self.machine._value_op(self.state, OPSPECS[Op.GETFIELD],
+                                      (rep,), name)
 
     def emit(self, op, args, effect=Effect.PURE, flags=None, absval=None):
         merged_flags = dict(self.machine.emit_flags(self.state))

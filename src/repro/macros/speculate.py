@@ -12,6 +12,9 @@
 
 from __future__ import annotations
 
+from repro.bytecode.opcodes import Op
+from repro.interp.handlers import OPSPECS
+
 
 def likely(ctx, recv, args):
     cond = args[0]
@@ -52,7 +55,7 @@ def stable(ctx, recv, args):
         if av.is_static_value:
             # The dynamic read folded, too — no guard needed.
             return machine.ctx.lift(machine.static_value(state, x_rep))
-        eq = machine._binop(state, "eq", x_rep, lifted)
+        eq = machine._value_op(state, OPSPECS[Op.EQ], (x_rep, lifted))
         # reason="stable" flows into the deopt meta and from there into
         # the invalidation reason — a persistent-cache entry dropped by
         # this guard records *why* it is gone.

@@ -42,12 +42,12 @@ from repro.bytecode.opcodes import Op
 from repro.compiler.deopt import DeoptMeta, FrameTemplate
 from repro.compiler.stagedinterp import CompileResult
 from repro.errors import ReproError
+from repro.interp.handlers import DISPATCH, OPSPECS, STACK_OPS
 from repro.lms.ir import Block, Branch, Effect, Jump, Return, Stmt
 from repro.lms.rep import ConstRep, Sym
 from repro.lms.staging import _Statics
 from repro.observability import CompileReport
 from repro.pipeline.tiers import TIER_T, tier_options
-from repro.runtime import ops as guest_ops
 from repro.runtime.natives import lookup_native
 from repro.runtime.objects import Obj
 
@@ -60,12 +60,6 @@ MAX_INLINE_FRAMES = 8
 #: Interpreted instructions a residual (non-inlined) call may execute
 #: before the recording gives up waiting for it to return.
 _SKIP_BUDGET = 200_000
-
-_BIN_OPS = {
-    Op.ADD: "add", Op.SUB: "sub", Op.MUL: "mul", Op.DIV: "div",
-    Op.MOD: "mod", Op.EQ: "eq", Op.NE: "ne", Op.LT: "lt", Op.LE: "le",
-    Op.GT: "gt", Op.GE: "ge",
-}
 
 
 def trace_options(base):
@@ -83,7 +77,9 @@ class TraceAbort(Exception):
 
 class _ShadowFrame:
     """The recorder's abstract mirror of one interpreter frame: every
-    local slot and stack entry holds the Rep computing that value."""
+    local slot and stack entry holds the Rep computing that value. It
+    speaks the interpreter's frame protocol, so the :data:`STACK_OPS`
+    handlers run on it unchanged."""
 
     __slots__ = ("method", "bci", "locals", "stack")
 
@@ -92,6 +88,23 @@ class _ShadowFrame:
         self.bci = 0
         self.locals = [ConstRep(None)] * method.num_locals
         self.stack = []
+
+    def push(self, rep):
+        self.stack.append(rep)
+
+    def pop(self):
+        return self.stack.pop()
+
+    def peek(self):
+        return self.stack[-1]
+
+    def pop_n(self, n):
+        """Pop the top ``n`` entries; returns them bottom to top."""
+        if n > len(self.stack):
+            raise TraceAbort("stack underflow")
+        popped = self.stack[len(self.stack) - n:]
+        del self.stack[len(self.stack) - n:]
+        return popped
 
 
 class TraceRecording:
@@ -102,6 +115,13 @@ class TraceRecording:
     receiver objects) are still on the real operand stack to peek at.
     The recorder steps a shadow frame chain of Reps in lockstep and
     aborts on any divergence from the expected control path.
+
+    Value opcodes come from :data:`OPSPECS`: a pure op on constant
+    operands folds through the interpreter's helper, anything else emits
+    its IR op and effect. One rule covers guest errors: an instruction
+    whose concrete execution raises aborts the recording (traces never
+    capture error paths). The interpreter reports the error through
+    :meth:`on_error`; a constant fold that raises is the same error.
     """
 
     def __init__(self, manager, mode, root_method, header_bci, shadow,
@@ -200,11 +220,13 @@ class TraceRecording:
         except TraceAbort as abort:
             self.manager.abort(self, abort.reason)
         except ReproError as exc:
-            # The instruction is about to raise for real in the
-            # interpreter; traces never capture guest error paths.
-            self.manager.abort(self, "guest error: %s" % exc)
+            self.on_error(exc)
         except Exception as exc:  # defensive: never break interpretation
             self.manager.abort(self, "recorder error: %r" % exc)
+
+    def on_error(self, exc):
+        """The recorded instruction raises ``exc``: give up the trace."""
+        self.manager.abort(self, "guest error: %s" % exc)
 
     def _step(self, vm, frame, ins, bci):
         skip = self._skip
@@ -246,27 +268,14 @@ class TraceRecording:
         pop = sf.stack.pop
         nbci = bci + 1
 
-        if op is Op.LOAD:
-            push(sf.locals[ins.arg])
+        if op in STACK_OPS:
+            DISPATCH[op](vm, sf, ins.arg)
         elif op is Op.CONST:
             push(ConstRep(ins.arg))
-        elif op is Op.STORE:
-            sf.locals[ins.arg] = pop()
-        elif op in _BIN_OPS:
-            b = pop(); a = pop()
-            push(self._binop(_BIN_OPS[op], a, b))
-        elif op is Op.NEG:
-            a = pop()
-            if isinstance(a, ConstRep):
-                push(ConstRep(guest_ops.guest_neg(a.value)))
-            else:
-                push(self.emit("neg", (a,), Effect.PURE))
-        elif op is Op.NOT:
-            a = pop()
-            if isinstance(a, ConstRep):
-                push(ConstRep(not a.value))
-            else:
-                push(self.emit("not", (a,), Effect.PURE))
+        elif op is Op.THROW:
+            raise TraceAbort("guest throw")
+        elif op in OPSPECS:
+            self._value_op(sf, OPSPECS[op], ins.arg)
         elif op is Op.JUMP:
             target = ins.arg
             if (len(self.shadow) == 1 and frame.method is self.root_method
@@ -305,53 +314,12 @@ class TraceRecording:
             nbci = self._invoke(vm, frame, ins, bci)
         elif op is Op.INVOKE_STATIC:
             nbci = self._invoke_static(vm, frame, ins, bci)
-        elif op is Op.GETFIELD:
-            obj = pop()
-            if not isinstance(frame.peek(), Obj):
-                raise TraceAbort("getfield on non-object")
-            push(self.emit("getfield", (obj, ins.arg), Effect.READ))
-        elif op is Op.PUTFIELD:
-            value = pop(); obj = pop()
-            if not isinstance(frame.peek(1), Obj):
-                raise TraceAbort("putfield on non-object")
-            self.emit("putfield", (obj, ins.arg, value), Effect.WRITE)
         elif op is Op.NEW:
             cls = vm.linker.resolve_class(ins.arg)
             push(self.emit("new", (self.lift_static(cls),), Effect.ALLOC))
-        elif op is Op.INSTANCEOF:
-            v = pop()
-            if isinstance(v, ConstRep):
-                push(ConstRep(False))    # primitives are never instances
-            else:
-                push(self.emit("instanceof", (v, ins.arg), Effect.PURE))
-        elif op is Op.NEW_ARRAY:
-            n = pop()
-            concrete = frame.peek()
-            if not isinstance(concrete, int) or isinstance(concrete, bool) \
-                    or concrete < 0:
-                raise TraceAbort("bad array length")
-            push(self.emit("new_array", (n,), Effect.ALLOC))
-        elif op is Op.ALOAD:
-            i = pop(); arr = pop()
-            push(self.emit("aload", (arr, i), Effect.READ))
-        elif op is Op.ASTORE:
-            v = pop(); i = pop(); arr = pop()
-            self.emit("astore", (arr, i, v), Effect.WRITE)
-        elif op is Op.ALEN:
-            push(self.emit("alen", (pop(),), Effect.PURE))
         elif op is Op.ARRAY_LIT:
-            vals = [pop() for __ in range(ins.arg)]
-            vals.reverse()
-            push(self.emit("array_lit", tuple(vals), Effect.ALLOC))
-        elif op is Op.POP:
-            pop()
-        elif op is Op.DUP:
-            push(sf.stack[-1])
-        elif op is Op.SWAP:
-            a = pop(); b = pop()
-            push(a); push(b)
-        elif op is Op.THROW:
-            raise TraceAbort("guest throw")
+            push(self.emit("array_lit", tuple(sf.pop_n(ins.arg)),
+                           Effect.ALLOC))
         else:
             raise TraceAbort("unsupported op %s" % op.name)
 
@@ -359,16 +327,22 @@ class TraceRecording:
 
     # -- op helpers ------------------------------------------------------------
 
-    def _binop(self, opname, a, b):
-        if isinstance(a, ConstRep) and isinstance(b, ConstRep):
-            try:
-                return ConstRep(guest_ops.BINOPS[opname.upper()](a.value,
-                                                                 b.value))
-            except ReproError:
-                pass   # fold would raise: leave it residual
-        # Helper form, no type flags: the recorder proves nothing about
-        # operand types, so the shared guest-ops semantics do the work.
-        return self.emit(opname, (a, b), Effect.PURE)
+    def _value_op(self, sf, spec, imm):
+        """Record one :data:`OPSPECS` opcode. The emitted ops carry no
+        type flags: the recorder proves nothing about operand types, so
+        the shared guest-ops semantics do the work."""
+        operands = sf.pop_n(spec.pops)
+        if spec.effect is Effect.PURE \
+                and all(isinstance(r, ConstRep) for r in operands):
+            values = [r.value for r in operands]
+            if spec.imm:
+                values.append(imm)
+            rep = ConstRep(spec.helper(*values))
+        else:
+            rep = self.emit(spec.ir, spec.ir_args(operands, imm),
+                            spec.effect)
+        if spec.pushes:
+            sf.push(rep)
 
     def _can_inline(self, method):
         if len(self.shadow) >= MAX_INLINE_FRAMES:
@@ -398,8 +372,7 @@ class TraceRecording:
                                  Effect.PURE)
                 self.emit_guard(cond, expect=True, extra_stack=(),
                                 reason="receiver class")
-            args = [sf.stack.pop() for __ in range(argc)]
-            args.reverse()
+            args = sf.pop_n(argc)
             sf.stack.pop()                   # the receiver
             if method is None:
                 if name == "init" and not argc:
@@ -407,78 +380,58 @@ class TraceRecording:
                     return bci + 1
                 raise TraceAbort("missing method %s" % name)
             if residual:
-                rep = self.emit("invoke", (name, recv_rep) + tuple(args),
-                                Effect.CALL)
-                self.expect_bci = bci + 1
-                self._skip = (frame, bci + 1, rep, _SKIP_BUDGET)
-                return bci + 1
+                return self._await(frame, bci, self.emit(
+                    "invoke", (name, recv_rep, *args), Effect.CALL))
             if method.num_params != len(args):
                 raise TraceAbort("arity mismatch")
-            sf.bci = bci + 1                 # resume point for RET/deopt
-            callee = _ShadowFrame(method)
-            callee.locals[0] = recv_rep
-            for i, a in enumerate(args):
-                callee.locals[1 + i] = a
-            self.shadow.append(callee)
-            return 0
+            return self._inline(sf, bci, method, [recv_rep, *args])
 
         if callable(receiver) and name == "apply":
             # Host callable (e.g. a compiled closure): residualize.
-            args = [sf.stack.pop() for __ in range(argc)]
-            args.reverse()
+            args = sf.pop_n(argc)
             sf.stack.pop()
-            rep = self.emit("invoke", (name, recv_rep) + tuple(args),
-                            Effect.CALL)
-            self.expect_bci = bci + 1
-            self._skip = (frame, bci + 1, rep, _SKIP_BUDGET)
-            return bci + 1
+            return self._await(frame, bci, self.emit(
+                "invoke", (name, recv_rep, *args), Effect.CALL))
 
         raise TraceAbort("invoke on %r" % type(receiver).__name__)
 
     def _invoke_static(self, vm, frame, ins, bci):
         sf = self.shadow[-1]
         cls_name, name, argc = ins.arg
-        if len(sf.stack) < argc:
-            raise TraceAbort("stack underflow at invoke_static")
         nat = lookup_native(cls_name, name)
         if nat is not None:
             if nat.argc != argc:
                 raise TraceAbort("native arity mismatch")
-            args = [sf.stack.pop() for __ in range(argc)]
-            args.reverse()
-            if nat.calls_guest:
-                effect = Effect.CALL
-            elif nat.allocates:
-                effect = Effect.ALLOC
-            elif nat.pure:
-                effect = Effect.PURE
-            else:
-                effect = Effect.IO
-            rep = self.emit("native", (nat,) + tuple(args), effect)
+            rep = self.emit("native", (nat, *sf.pop_n(argc)), nat.effect)
             if nat.calls_guest:
                 # The native may interpret guest frames before producing
                 # its result: wait for control to return here.
-                self.expect_bci = bci + 1
-                self._skip = (frame, bci + 1, rep, _SKIP_BUDGET)
-            else:
-                sf.stack.append(rep)
+                return self._await(frame, bci, rep)
+            sf.stack.append(rep)
             return bci + 1
 
         method = vm.linker.resolve_static(cls_name, name)
-        args = [sf.stack.pop() for __ in range(argc)]
-        args.reverse()
+        args = sf.pop_n(argc)
         if method.num_params != len(args):
             raise TraceAbort("arity mismatch")
         if self._can_inline(method):
-            sf.bci = bci + 1
-            callee = _ShadowFrame(method)
-            for i, a in enumerate(args):
-                callee.locals[i] = a
-            self.shadow.append(callee)
-            return 0
-        rep = self.emit("invoke_method",
-                        (self.lift_static(method), ConstRep(None))
-                        + tuple(args), Effect.CALL)
+            return self._inline(sf, bci, method, args)
+        return self._await(frame, bci, self.emit(
+            "invoke_method", (self.lift_static(method), ConstRep(None), *args),
+            Effect.CALL))
+
+    def _inline(self, sf, bci, method, args):
+        """Step into ``method``: push its shadow frame, resuming ``sf``
+        after the call at ``bci`` on RET (or deopt)."""
+        sf.bci = bci + 1
+        callee = _ShadowFrame(method)
+        callee.locals[:len(args)] = args
+        self.shadow.append(callee)
+        return 0
+
+    def _await(self, frame, bci, rep):
+        """A residual call at ``bci``: skip the frames it interprets
+        until control returns to ``frame``, then push ``rep``."""
         self.expect_bci = bci + 1
         self._skip = (frame, bci + 1, rep, _SKIP_BUDGET)
         return bci + 1

@@ -19,6 +19,7 @@ import math
 import time
 
 from repro.errors import GuestError, GuestTypeError
+from repro.lms.ir import Effect
 
 
 class NativeMethod:
@@ -29,10 +30,12 @@ class NativeMethod:
     ``calls_guest`` marks natives that may invoke guest closures (these are
     never folded blindly — they are macro territory). ``allocates`` marks
     natives that allocate guest-visible heap data (for ``checkNoAlloc``).
+    ``effect``, the IR effect of a residual call, follows from the flags
+    in that order: an allocation's only effect is the fresh array.
     """
 
     __slots__ = ("class_name", "name", "argc", "fn", "pure", "calls_guest",
-                 "allocates", "result_ty", "py_inline")
+                 "allocates", "result_ty", "py_inline", "effect")
 
     def __init__(self, class_name, name, argc, fn, pure=False,
                  calls_guest=False, allocates=False, result_ty=None,
@@ -49,6 +52,9 @@ class NativeMethod:
         # Optional inline expression template for generated code, e.g.
         # "({0}).split({1})" — avoids the call through the wrapper.
         self.py_inline = py_inline
+        self.effect = (Effect.CALL if calls_guest else
+                       Effect.ALLOC if allocates else
+                       Effect.PURE if pure else Effect.IO)
 
     @property
     def key(self):

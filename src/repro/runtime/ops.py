@@ -200,10 +200,3 @@ def guest_setfield(obj, value, name):
     name immediate), so the handler table and the baseline templates can
     pass operands bottom-to-top uniformly."""
     guest_putfield(obj, name, value)
-
-
-BINOPS = {
-    "ADD": guest_add, "SUB": guest_sub, "MUL": guest_mul, "DIV": guest_div,
-    "MOD": guest_mod, "EQ": guest_eq, "NE": guest_ne, "LT": guest_lt,
-    "LE": guest_le, "GT": guest_gt, "GE": guest_ge,
-}

@@ -13,12 +13,17 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro import CompileOptions, Lancet
 from repro.errors import GuestError
 
 NODE = shutil.which("node")
+
+#: Every Hypothesis phase but ``explain``: a failing example is still
+#: shrunk and reported, but not re-run under ``sys.settrace`` to explain
+#: it, which on these programs stalled past a minute and then crashed.
+PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 # -- structured program generator ---------------------------------------------
@@ -160,7 +165,7 @@ def assert_compiled_equals_interpreted(jit, source, a, b):
 
 
 class TestDifferential:
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-20, 20), st.integers(-20, 20))
@@ -169,7 +174,7 @@ class TestDifferential:
         jit.load(source)
         assert_compiled_equals_interpreted(jit, source, a, b)
 
-    @settings(max_examples=20, deadline=None,
+    @settings(max_examples=20, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow])
     @given(guest_program(), st.integers(-10, 10), st.integers(-10, 10))
     def test_compiled_equals_interpreted_no_inlining(self, source, a, b):
@@ -229,7 +234,7 @@ OPTION_VARIANTS = [
 
 
 class TestOptionMatrix:
-    @settings(max_examples=15, deadline=None,
+    @settings(max_examples=15, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-10, 10), st.integers(-10, 10))
@@ -268,7 +273,7 @@ class TestTraceDifferential:
     The trace jit is called repeatedly with low thresholds so recording,
     trace entry, side exits, and bridge stitching all happen mid-run."""
 
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-20, 20), st.integers(-20, 20))
@@ -348,7 +353,7 @@ class TestBaselineDifferential:
     staged pipeline, so this leg catches template/assembler bugs the
     staged differential cannot."""
 
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-20, 20), st.integers(-20, 20))
@@ -485,7 +490,7 @@ def _normalize_js_lines(text):
 
 @pytest.mark.skipif(NODE is None, reason="node interpreter not available")
 class TestJsDifferential:
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=25, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(js_guest_program(), st.integers(-20, 20), st.integers(-20, 20))
@@ -515,7 +520,7 @@ class TestJsDifferential:
 # post-pipeline IR feeds Python, JS, and SQL code generation.
 
 class TestOptimizationDifferential:
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-20, 20), st.integers(-20, 20))
@@ -538,7 +543,7 @@ class TestOptimizationDifferential:
         optimized = observe(CompileOptions())
         assert optimized == plain, source
 
-    @settings(max_examples=10, deadline=None,
+    @settings(max_examples=10, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(st.sampled_from(["x > 0", "x * 2 == 10 || x == 0",
@@ -566,7 +571,7 @@ class TestOptimizationDifferential:
         assert optimized == plain, body
 
     @pytest.mark.skipif(NODE is None, reason="node interpreter not available")
-    @settings(max_examples=15, deadline=None,
+    @settings(max_examples=15, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(js_guest_program(), st.integers(-20, 20), st.integers(-20, 20))

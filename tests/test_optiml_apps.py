@@ -106,6 +106,31 @@ class TestNamescore:
         cf(0)
         assert jit.delite.ops_run == 1        # zipWithIndex+map+reduce fused
 
+    def test_fused_kernel_is_counted(self, jit):
+        """The SoA rewrite's MapReduce is the paper's 3.4 fusion: the
+        runtime counts it as a fused launch."""
+        load_app(jit, "namescore", module="Namescore")
+        cf = jit.vm.call("Namescore", "makeCompiled", [names_data(50)])
+        jit.delite.reset_clock()
+        cf(0)
+        assert jit.delite.fused_ops_run == 1
+        assert jit.telemetry.metrics.get("delite.fused_kernels") >= 1
+
+    def test_traced_optiml_benchmark_reports_fusion(self):
+        import os
+        import sys
+        here = os.path.dirname(os.path.abspath(__file__))
+        sys.path.insert(0, os.path.join(here, os.pardir, "benchmarks",
+                                        "e2e"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        doc = workloads.run_workload("optiml", seed=0, seconds=0.1,
+                                     trace=True, scale="smoke")
+        assert doc["correct"]
+        assert doc["metrics"]["delite.fused_ratio"]["value"] > 0
+
     def test_compiled_faster_than_interpreted_library(self, jit):
         import time
         names = names_data(3000)

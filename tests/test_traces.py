@@ -15,7 +15,7 @@ import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from tests.test_differential import guest_program
+from tests.test_differential import PHASES, guest_program
 
 from repro import CompileOptions, Lancet
 from repro.errors import GuestError
@@ -362,7 +362,7 @@ class TestTraceIRInvariants:
     """Every recorded trace must pass the IR verifier; checkNoAlloc runs
     over trace IR exactly as it does over method IR."""
 
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=25, deadline=None, phases=PHASES,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(guest_program(), st.integers(-15, 15), st.integers(-15, 15))
