@@ -6,7 +6,6 @@
     python -m repro dump program.mj fn                # show generated code
     python -m repro analyze program.mj [fn ...]       # JIT lint report
     python -m repro validate program.mj [fn ...]      # soundness report
-    python -m repro serve --cache-dir DIR             # compile-server ops
 
 ``analyze`` runs the collect-mode IR analysis pipeline (verifier, taint,
 checkNoAlloc, plus informational findings from the optimization passes)
@@ -39,12 +38,7 @@ persistent code cache and async compile service are reachable via
 ``--cache-dir DIR``, ``--no-persist``, and ``--compile-workers N``.
 ``jit`` can also join a compile-server fleet: ``--compile-server DIR``
 attaches the VM as a tenant of the process-wide server over DIR's
-sharded store (same as ``REPRO_COMPILE_SERVER=DIR``), and
-``--export-manifest PATH`` writes the run's warm-start manifest for
-``repro serve --warm``. ``serve`` manages the server-side store:
-``repro serve --cache-dir DIR --warm manifest.json`` replays a recorded
-manifest so a fresh fleet starts warm, and ``repro serve --cache-dir
-DIR --stats`` prints the sharded store's stats as JSON.
+sharded store (same as ``REPRO_COMPILE_SERVER=DIR``).
 Both ``run`` and ``jit`` accept ``--trace-tier`` to enable Tier T (hot
 loop back-edges record linear traces; the ``--jit-stats`` summary then
 includes a ``traces`` breakdown: recordings, aborts, side exits,
@@ -170,39 +164,9 @@ def cmd_jit(args):
                              "source", "# still interpreted (tier 0)")
         print("\n--- generated code ---", file=sys.stderr)
         print(source, file=sys.stderr)
-    if getattr(args, "export_manifest", None):
-        jit.export_manifest(args.export_manifest)
-        print("wrote manifest to %s" % args.export_manifest,
-              file=sys.stderr)
     status = _telemetry_end(jit, args)
     # Drain the compile-worker pool and flush pending persistent stores.
     jit.close()
-    return status
-
-
-def cmd_serve(args):
-    """Server-side store operations: create/warm/inspect the sharded
-    cache a fleet shares. (Tenants in this process attach with
-    ``--compile-server DIR`` / ``REPRO_COMPILE_SERVER=DIR``; across
-    processes, fleets share through the store on disk.)"""
-    from repro.server import CompileServer
-    from repro.server.shards import DEFAULT_SHARDS
-    server = CompileServer(cache_dir=args.cache_dir,
-                           shards=args.shards or DEFAULT_SHARDS,
-                           workers=args.workers)
-    status = 0
-    try:
-        if args.warm:
-            summary = server.warm(args.warm)
-            print(json.dumps(summary, indent=2, sort_keys=True),
-                  file=sys.stderr)
-            if summary["errors"]:
-                status = 1
-        if args.stats or not args.warm:
-            print(json.dumps(server.stats(), indent=2, sort_keys=True,
-                             default=str))
-    finally:
-        server.close()
     return status
 
 
@@ -373,27 +337,7 @@ def main(argv=None):
     p.add_argument("--compile-server", metavar="DIR", default=None,
                    help="attach to the process-wide compile server over "
                         "DIR's sharded store (also REPRO_COMPILE_SERVER)")
-    p.add_argument("--export-manifest", metavar="PATH", default=None,
-                   help="after the run, write the warm-start manifest "
-                        "(loaded sources + compiled units) for "
-                        "'repro serve --warm'")
     p.set_defaults(handler=cmd_jit)
-
-    p = sub.add_parser("serve",
-                       help="compile-server store ops: create, prewarm "
-                            "from a manifest, inspect")
-    p.add_argument("--cache-dir", metavar="DIR", required=True,
-                   help="the server's sharded store directory")
-    p.add_argument("--warm", metavar="MANIFEST", default=None,
-                   help="replay a recorded manifest into the store so a "
-                        "fresh fleet starts warm")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard count (default 8)")
-    p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="background compile workers for the server")
-    p.add_argument("--stats", action="store_true",
-                   help="print the server/store stats as JSON")
-    p.set_defaults(handler=cmd_serve)
 
     p = sub.add_parser("analyze",
                        help="JIT lint: collect-mode IR analysis report")

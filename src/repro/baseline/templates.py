@@ -48,18 +48,6 @@ SCRATCH = (".s0", ".s1", ".s2")
 RUNTIME_NAMES = ("_enter", "_be", "_osr", "_new", "_callv", "_calls")
 
 
-def _effect(ins):
-    """(pops, pushes) including the variable-arity opcodes."""
-    op = ins.op
-    if op is Op.INVOKE:
-        return ins.arg[1] + 1, 1
-    if op is Op.INVOKE_STATIC:
-        return ins.arg[2], 1
-    if op is Op.ARRAY_LIT:
-        return ins.arg, 1
-    return STACK_EFFECT[op]
-
-
 def stack_depths(code):
     """Static operand-stack depth at each instruction (forward scan;
     ``None`` marks unreachable instructions). The verifier guarantees

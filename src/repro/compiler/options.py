@@ -154,9 +154,9 @@ class CompileOptions:
     persist: bool = True
 
     # Background compilation: > 0 gives the VM a private CompileServer
-    # with that many workers, and tier promotions, OSR, trace installs
-    # and prefetches enqueue instead of compiling inline (the hot path
-    # keeps running at the current tier until the result lands).
+    # with that many workers, and tier promotions, OSR and trace
+    # installs enqueue instead of compiling inline (the hot path keeps
+    # running at the current tier until the result lands).
     # 0 = compile synchronously.
     compile_workers: int = 0
 

@@ -106,10 +106,6 @@ class UnrollError(CompilationError):
     """A loop demanded to be unrolled has a non-static trip count."""
 
 
-class InlineError(CompilationError):
-    """A call demanded to be inlined could not be (e.g. unknown target)."""
-
-
 class NoAllocError(CompilationError):
     """``checkNoAlloc`` found a residual heap allocation, deoptimization
     point, or call to code not compiled under the directive (paper 3.3)."""

@@ -49,11 +49,6 @@ class Profiler:
         """Methods invoked at least ``threshold`` times."""
         return [name for name, n in self.invocations.items() if n >= threshold]
 
-    def hot_loops(self, threshold):
-        """(qualified name, target bci) loop headers whose back-edge count
-        reached ``threshold``."""
-        return [site for site, n in self.backedges.items() if n >= threshold]
-
     def polymorphic_in(self, qualified_name, min_classes=2):
         """Whether any call site inside ``qualified_name`` has seen at
         least ``min_classes`` distinct receiver classes (the trace tier

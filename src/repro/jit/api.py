@@ -91,7 +91,6 @@ class Lancet:
                 telemetry=self.telemetry)
             self.compile_tenant = self.compile_server.register_tenant()
             self._owns_server = True
-        self.loaded_sources = []   # (source, module), for manifest export
         server_dir = compile_server_dir()
         if server_dir and not self._owns_server:
             from repro.server import shared_server
@@ -109,9 +108,7 @@ class Lancet:
 
     def load(self, source, module="Main"):
         from repro.frontend.compiler import compile_source
-        classes = self.vm.load_classes(compile_source(source, module=module))
-        self.loaded_sources.append((source, module))
-        return classes
+        return self.vm.load_classes(compile_source(source, module=module))
 
     def install_macro(self, class_name, method_name, fn):
         self.macros.install(class_name, method_name, fn)
@@ -189,57 +186,13 @@ class Lancet:
         return self.tiers.tiered_function(class_name, method_name,
                                           policy=policy)
 
-    def prefetch(self, class_name, method_name, tier=None):
-        """Warm a unit ahead of use. With an open compile server this
-        submits at the lowest priority and returns the request handle.
-        **Without one it degrades to a synchronous persistent-cache
-        probe**: a warm-start lookup only — a cached unit is rehydrated
-        and installed, but a cold miss never triggers a compile. Returns
-        the CompiledFunction on a synchronous warm hit, ``None`` on a
-        cold miss with no server."""
-        from repro.pipeline.tiers import tier_options
-        opts = (tier_options(self.options, tier)
-                if tier is not None else self.options)
-        server = self.async_compiler
-        if server is None:
-            return self._prefetch_probe(class_name, method_name, opts)
-        from repro.server import PRIORITY_PREFETCH
-        return server.submit(
-            ("prefetch", class_name, method_name, opts.tier),
-            lambda: self.compile_function(class_name, method_name,
-                                          options=opts),
-            priority=PRIORITY_PREFETCH, tenant=self.compile_tenant)
-
-    def _prefetch_probe(self, class_name, method_name, opts):
-        """Synchronous prefetch fallback: warm-start lookup only, no
-        compile. A hit lands in the unit cache exactly as an async
-        prefetch would; a miss returns ``None`` untouched."""
-        if self.codecache is None or not opts.unit_cache:
-            return None
-        try:
-            method = self.vm.linker.resolve_static(class_name, method_name)
-        except Exception:
-            return None
-        kind = ("baseline" if self._baseline_eligible(method, None, opts)
-                else "unit")
-        fingerprint = self.codecache.fingerprint(self, method, opts,
-                                                 kind=kind)
-        compiled = self.codecache.load(fingerprint, self, kind=kind)
-        if compiled is None:
-            self.telemetry.record("prefetch.cold", unit="%s.%s"
-                                  % (class_name, method_name))
-            return None
-        self.compile_log.append((compiled.name, compiled))
-        key = self._unit_key(method, None, opts)
-        return self.unit_cache.get_or_else_update(key, lambda: compiled)
-
     def attach_compile_server(self, server, tenant=None):
         """Become a tenant of a shared
         :class:`~repro.server.daemon.CompileServer`: this VM's persistent
         cache is replaced by the server's sharded store (one tenant's
         compile is every tenant's warm hit), and async compiles — tier
-        promotions, OSR, traces, prefetch — route through the server's
-        fair bounded queue. A server this VM owned is closed. Returns
+        promotions, OSR, traces — route through the server's fair
+        bounded queue. A server this VM owned is closed. Returns
         ``server``.
         """
         if self._owns_server:
@@ -265,12 +218,6 @@ class Lancet:
                                   tenant=self.compile_tenant)
             return None
         return server
-
-    def export_manifest(self, path):
-        """Write this VM's warm-start manifest (loaded sources + compiled
-        units) for ``repro serve --warm`` prewarming."""
-        from repro.server.manifest import write_manifest
-        return write_manifest(self, path)
 
     def enable_trace_tier(self):
         """Arm Tier T: hot loop back-edges record linear traces that

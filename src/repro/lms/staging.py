@@ -74,10 +74,6 @@ class StagingContext:
             return Static(rep.obj)
         return self.abs.get(rep.name, UNKNOWN)
 
-    def set_abs(self, rep, absval):
-        if isinstance(rep, Sym):
-            self.abs[rep.name] = absval
-
     def is_tainted(self, rep):
         if isinstance(rep, Sym):
             return self.taint.get(rep.name, False)

@@ -55,25 +55,25 @@ Event kinds emitted by the built-in instrumentation::
     codecache.evict / codecache.invalidate  (size-budget LRU, stale code)
     server.attach            (a Lancet VM became a tenant, of its own
                              or a shared CompileServer)
+    server.attach_failed     (REPRO_COMPILE_SERVER named a server the
+                             new VM could not join; it runs without one)
     server.submit / server.done / server.fail / server.discard
                              (compile-queue lifecycle; the queue depth
                              is the ``server.queue_depth`` gauge, and
-                             ``stats()["server"]`` includes the dedup
-                             ratio and the blacklisted keys)
+                             ``stats()["server"]`` includes the
+                             blacklisted keys)
+    server.run               (timing: seconds a completed request's
+                             compile ran on its worker)
+    server.callback_error    (a request's on_complete or on_error
+                             callback raised; the worker survives)
     server.fallback          (the VM's server is closed: the compile
                              runs synchronously instead; counted)
-    server.dedup / server.dedup_wait
-                             (cross-VM dedup: a queued follower joined
-                             a leader / a synchronous tenant waited on
-                             another tenant's in-flight compile)
-    server.inherit           (priority inheritance: an urgent follower
-                             raised a queued leader's priority)
+    server.dedup_wait        (cross-VM dedup: a synchronous tenant
+                             waited on another tenant's in-flight
+                             compile of the same fingerprint)
     server.shed / server.reject  (admission control: backpressure drop;
                              queue-full, per-tenant-cap or blacklisted
                              refusal)
-    server.batch             (a worker took several consecutive requests
-                             from one tenant in a single turn)
-    server.warm              (manifest prewarming replayed into the store)
     server.close
     codecache.hits.<kind> / codecache.misses.<kind>
                              (per-kind warm-start attribution counters,

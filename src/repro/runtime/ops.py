@@ -130,10 +130,6 @@ def guest_not(a):
     return not a
 
 
-def guest_truthy(v):
-    return bool(v)
-
-
 def guest_instanceof(v, cls_name):
     return isinstance(v, Obj) and v.cls.is_subclass_of(cls_name)
 

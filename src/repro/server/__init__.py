@@ -10,37 +10,28 @@ to the same key):
   code-cache shards keyed by fingerprint prefix so concurrent tenants
   don't serialize on one store;
 * :mod:`repro.server.daemon` — :class:`CompileServer`, the one
-  asynchronous compile queue, private to a VM or shared by many:
-  cross-VM in-flight dedup (sync + async), bounded fair queue with
-  priority inheritance and shed-lowest-first backpressure, failure
-  blacklisting, batched scheduling, manifest prewarming;
-* :mod:`repro.server.manifest` — record a fleet's compiled shape,
-  replay it into a fresh store (``repro serve --warm``).
+  asynchronous compile queue, private to a VM or shared by many: the
+  shared store, synchronous cross-VM dedup (``coordinate``), bounded
+  queues with shed-lowest-first backpressure and failure blacklisting,
+  and tenant round-robin.
 
 Attach with ``jit.attach_compile_server(server)`` or process-wide via
 ``REPRO_COMPILE_SERVER=<cache-dir>``.
 """
 
-from repro.server.daemon import (PRIORITY_OSR, PRIORITY_PREFETCH,
-                                 PRIORITY_TIER1, PRIORITY_TIER2,
-                                 CompileRequest, CompileServer,
-                                 close_shared_servers, shared_server)
-from repro.server.manifest import (build_manifest, load_manifest,
-                                   warm_from_manifest, write_manifest)
+from repro.server.daemon import (PRIORITY_OSR, PRIORITY_TIER1,
+                                 PRIORITY_TIER2, CompileRequest,
+                                 CompileServer, close_shared_servers,
+                                 shared_server)
 from repro.server.shards import ShardedCodeCache
 
 __all__ = [
     "CompileRequest",
     "CompileServer",
     "PRIORITY_OSR",
-    "PRIORITY_PREFETCH",
     "PRIORITY_TIER1",
     "PRIORITY_TIER2",
     "ShardedCodeCache",
-    "build_manifest",
     "close_shared_servers",
-    "load_manifest",
     "shared_server",
-    "warm_from_manifest",
-    "write_manifest",
 ]

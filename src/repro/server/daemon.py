@@ -1,36 +1,27 @@
 """The compile server: the one asynchronous compile queue.
 
-Every background compile (tier promotions, OSR, trace installs,
-prefetch) goes through a :class:`CompileServer`, the paper's ``makeHOT``
-"submitting the actual compilation as a task to a worker thread". A VM
-built with ``CompileOptions(compile_workers=N)`` owns a private server
-(no store, one tenant); ``jit.attach_compile_server`` makes it a tenant
-of a shared one instead. Sharing pays because content fingerprints make
-compiled units bit-identical across tenants running the same program:
-the first tenant compiles, everyone else rehydrates from the shared
-sharded store.
+Every background compile (tier promotions, OSR, trace installs) goes
+through a :class:`CompileServer`, the paper's ``makeHOT`` "submitting
+the actual compilation as a task to a worker thread". A VM built with
+``CompileOptions(compile_workers=N)`` owns a private server (no store,
+one tenant); ``jit.attach_compile_server`` makes it a tenant of a shared
+one instead. Sharing pays because content fingerprints make compiled
+units bit-identical across tenants running the same program: the first
+tenant compiles, everyone else rehydrates from the shared sharded store.
 
-Four mechanisms, layered:
+Four mechanisms:
 
 * **shared sharded store** — given a ``cache_dir``, the server owns a
   :class:`~repro.server.shards.ShardedCodeCache`; attaching a tenant
   points its ``codecache`` at it, so ordinary warm-start lookups become
-  fleet-wide.
-* **cross-VM dedup**, at two granularities:
-
-  - *synchronous* (:meth:`coordinate`): tenants about to compile a
-    fingerprint register it; a second tenant arriving mid-compile
-    blocks on the leader's completion event, then re-probes the store —
-    a warm hit, one compile total. Worker threads and re-entrant
-    compiles never block (deadlock-free by construction).
-  - *asynchronous* (:meth:`submit`): a queued request whose key is
-    already in flight becomes a *follower* — it is parked on the leader
-    and re-enqueued when the leader finishes, by which time the store
-    is warm and the follower's compile collapses to a rehydrate. A more
-    urgent follower **raises the leader's priority** (priority
-    inheritance): an OSR request joining a queued prefetch for the same
-    unit drags that compile to the front.
-
+  fleet-wide. A queued request for a key another tenant already compiled
+  is an ordinary request: its compile loads the unit from the store
+  before it would build one, so it rehydrates instead of recompiling.
+* **cross-VM dedup** (:meth:`coordinate`): tenants about to compile a
+  fingerprint register it; a second tenant arriving mid-compile blocks
+  on the leader's completion event, then re-probes the store — a warm
+  hit, one compile total. Worker threads and re-entrant compiles never
+  block (deadlock-free by construction).
 * **admission control** — the queue is bounded globally and per
   tenant. At either bound a strictly more urgent arrival sheds the
   lowest-priority queued request (the tenant's own, at its cap), and
@@ -38,14 +29,11 @@ Four mechanisms, layered:
   instead of starving the fleet. A key whose compile failed
   :data:`BLACKLIST_AFTER` times is refused outright, so a poisoned unit
   cannot recompile on every call.
-* **fair batched scheduling** — workers drain priorities in order;
-  within a priority, tenants are served round-robin, and a worker grabs
-  up to :data:`BATCH_MAX` consecutive requests from the tenant whose
-  turn it is (one scheduling decision, several compiles — the whole
-  batch counts against that tenant's turn).
+* **fair scheduling** — workers drain priorities in order; within a
+  priority, tenants are served round-robin, one request per turn.
 
 ``workers=0`` runs the server in *manual-drain* mode (:meth:`drain`),
-used by deterministic tests and one-shot prewarming.
+used by deterministic tests and the warm-start benchmark.
 
 Requests never retry: a failed, shed or refused request is reported to
 its submitter (``on_error`` fires once), whose fallback is the
@@ -60,20 +48,17 @@ import time
 from collections import OrderedDict, deque
 
 from repro.observability import Telemetry
-from repro.server.shards import DEFAULT_SHARDS, ShardedCodeCache
+from repro.server.shards import ShardedCodeCache
 
 #: Priorities, best first. Lower value = more urgent.
 PRIORITY_OSR = 0        # a hot loop is waiting mid-execution
 PRIORITY_TIER2 = 1      # tier-2 optimizing promotion
 PRIORITY_TIER1 = 2      # tier-1 quick compile
-PRIORITY_PREFETCH = 3   # speculative warm-up
 
 #: Queued requests across all tenants.
 QUEUE_LIMIT = 128
 #: Queued requests of one tenant.
 PER_TENANT_LIMIT = 32
-#: Consecutive requests one tenant's round-robin turn may take.
-BATCH_MAX = 4
 #: Failed compiles after which a key is refused at submit.
 BLACKLIST_AFTER = 3
 #: Seconds a :meth:`CompileServer.coordinate` waiter trusts its leader.
@@ -96,7 +81,6 @@ class CompileRequest:
         self.tenant = tenant
         self.on_complete = on_complete
         self.on_error = on_error
-        self.followers = []     # same-key requests parked on this leader
         self.state = QUEUED
         self.result = None
         self.error = None
@@ -137,12 +121,11 @@ class CompileRequest:
 class CompileServer:
     """A compile daemon: sharded store + fair bounded queue + dedup."""
 
-    def __init__(self, cache_dir=None, shards=DEFAULT_SHARDS, workers=2,
-                 telemetry=None):
+    def __init__(self, cache_dir=None, workers=2, telemetry=None):
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.store = None
         if cache_dir:
-            self.store = ShardedCodeCache(cache_dir, shards=shards,
+            self.store = ShardedCodeCache(cache_dir,
                                           telemetry=self.telemetry)
         self.workers = max(0, workers)
         self._lock = threading.Lock()
@@ -150,7 +133,7 @@ class CompileServer:
         self._queues = {}           # priority -> OrderedDict(tenant -> deque)
         self._depth = 0
         self._tenant_depth = {}     # tenant -> queued count
-        self._inflight = {}         # key -> leader request (queued|running)
+        self._inflight = {}         # (key, tenant) -> queued|running request
         self._failures = {}         # key -> failed compiles
         self._threads = []
         self._worker_idents = set()
@@ -166,10 +149,7 @@ class CompileServer:
         self.failed = 0
         self.shed = 0
         self.rejected = 0
-        self.dedup_followers = 0
         self.dedup_waits = 0        # under _sync_lock
-        self.batches = 0
-        self.batched_requests = 0
 
     # -- telemetry -------------------------------------------------------------
 
@@ -209,19 +189,6 @@ class CompileServer:
                 return req
             if self._failures.get(key, 0) >= BLACKLIST_AFTER:
                 return self._reject_locked(req, "blacklisted")
-            leader = self._inflight.get(key)
-            if leader is not None and not leader.finished:
-                # Cross-VM dedup: park on the leader; run after it, when
-                # the shared store is warm and this compile is a
-                # rehydrate. A more urgent follower drags the leader
-                # forward (priority inheritance).
-                leader.followers.append(req)
-                self.dedup_followers += 1
-                if priority < leader.priority:
-                    self._reprioritize_locked(leader, priority)
-                self._event("server.dedup", key=repr(key), tenant=tenant,
-                            leader_tenant=leader.tenant)
-                return req
             if self._tenant_depth.get(tenant, 0) >= PER_TENANT_LIMIT:
                 shed = self._shed_for_locked(priority, tenant)
                 if not shed:
@@ -230,7 +197,12 @@ class CompileServer:
                 shed = self._shed_for_locked(priority)
                 if not shed:
                     return self._reject_locked(req, "queue full")
-            self._enqueue_locked(req)
+            by_tenant = self._queues.setdefault(priority, OrderedDict())
+            by_tenant.setdefault(tenant, deque()).append(req)
+            self._depth += 1
+            self._tenant_depth[tenant] = self._tenant_depth.get(tenant, 0) + 1
+            self._inflight[key, tenant] = req
+            self._gauge_depth_locked()
             self.submits += 1
             self._event("server.submit", key=repr(key), tenant=tenant,
                         priority=priority, depth=self._depth)
@@ -246,49 +218,23 @@ class CompileServer:
                     reason=reason)
         return req
 
-    def _enqueue_locked(self, req):
-        by_tenant = self._queues.setdefault(req.priority, OrderedDict())
-        by_tenant.setdefault(req.tenant, deque()).append(req)
-        self._depth += 1
-        self._tenant_depth[req.tenant] = \
-            self._tenant_depth.get(req.tenant, 0) + 1
-        self._inflight[req.key] = req
-        self._gauge_depth_locked()
-
     def _remove_queued_locked(self, req):
-        """Unlink a queued request; returns True when it was found."""
-        by_tenant = self._queues.get(req.priority)
-        if not by_tenant:
-            return False
-        dq = by_tenant.get(req.tenant)
+        """Unlink ``req`` from its queue; a no-op when it is not queued
+        (a running request)."""
+        dq = self._queues.get(req.priority, {}).get(req.tenant)
+        if not dq or req not in dq:
+            return
+        dq.remove(req)
         if not dq:
-            return False
-        try:
-            dq.remove(req)
-        except ValueError:
-            return False
-        if not dq:
-            del by_tenant[req.tenant]
+            del self._queues[req.priority][req.tenant]
         self._depth -= 1
         self._tenant_depth[req.tenant] -= 1
         self._gauge_depth_locked()
-        return True
-
-    def _reprioritize_locked(self, leader, priority):
-        """Priority inheritance: move a still-queued leader to the more
-        urgent queue (a running leader is already being served)."""
-        if self._remove_queued_locked(leader):
-            leader.priority = priority
-            self._enqueue_locked(leader)
-            self._event("server.inherit", key=repr(leader.key),
-                        priority=priority)
 
     def _shed_for_locked(self, priority, tenant=None):
         """Backpressure: unlink the newest request of the least urgent
         nonempty priority strictly below ``priority`` (only ``tenant``'s
-        requests when given: a tenant at its cap sheds its own). Followers
-        parked on the victim go with it — their key never compiles here,
-        so they must fail back to their tenants, not wait forever. Returns
+        requests when given: a tenant at its cap sheds its own). Returns
         the requests to fail (the caller does, outside the lock); []
         when nothing is less urgent."""
         for prio in sorted(self._queues, reverse=True):
@@ -301,64 +247,49 @@ class CompileServer:
                 continue
             # Shed from the tenant hogging the most of this priority.
             owner = max(owners, key=lambda t: len(by_tenant[t]))
-            victim = by_tenant[owner].pop()
-            if not by_tenant[owner]:
-                del by_tenant[owner]
-            self._depth -= 1
-            self._tenant_depth[owner] -= 1
-            self._inflight.pop(victim.key, None)
-            shed = [victim] + [f for f in victim.followers if not f.finished]
-            victim.followers = []
-            self.shed += len(shed)
-            self._gauge_depth_locked()
+            victim = by_tenant[owner][-1]
+            self._remove_queued_locked(victim)
+            self._forget_locked(victim)
+            self.shed += 1
             self._event("server.shed", key=repr(victim.key), tenant=owner,
-                        priority=prio, followers=len(shed) - 1)
-            return shed
+                        priority=prio)
+            return [victim]
         return []
 
-    def cancel(self, key, tenant=None):
-        """Cancel the in-flight request for ``key`` (optionally only when
-        owned by ``tenant``). Followers are promoted, not cancelled."""
+    def _forget_locked(self, req):
+        if self._inflight.get((req.key, req.tenant)) is req:
+            del self._inflight[req.key, req.tenant]
+
+    def cancel(self, key, tenant="anon"):
+        """Cancel ``tenant``'s queued or running request for ``key``."""
         with self._cv:
-            req = self._inflight.get(key)
-            if req is None or (tenant is not None and req.tenant != tenant):
+            req = self._inflight.pop((key, tenant), None)
+            if req is None:
                 return None
-            self._inflight.pop(key, None)
             self._remove_queued_locked(req)
-            self._adopt_followers_locked(req)
         req.cancel()
         return req
 
     # -- scheduling ------------------------------------------------------------
 
-    def _pop_batch_locked(self):
-        """The next batch: up to :data:`BATCH_MAX` requests from the
-        tenant whose round-robin turn it is, at the most urgent nonempty
-        priority. Returns [] when idle."""
+    def _pop_locked(self):
+        """The next request: the head of the queue of the tenant whose
+        round-robin turn it is, at the most urgent nonempty priority.
+        Returns None when idle."""
         for prio in sorted(self._queues):
             by_tenant = self._queues[prio]
-            while by_tenant:
+            if by_tenant:
                 tenant, dq = next(iter(by_tenant.items()))
-                if not dq:
-                    del by_tenant[tenant]
-                    continue
-                batch = []
-                while dq and len(batch) < BATCH_MAX:
-                    batch.append(dq.popleft())
+                req = dq.popleft()
                 if dq:
                     by_tenant.move_to_end(tenant)
                 else:
                     del by_tenant[tenant]
-                self._depth -= len(batch)
-                self._tenant_depth[tenant] -= len(batch)
+                self._depth -= 1
+                self._tenant_depth[tenant] -= 1
                 self._gauge_depth_locked()
-                self.batches += 1
-                self.batched_requests += len(batch)
-                if len(batch) > 1:
-                    self._event("server.batch", tenant=tenant,
-                                size=len(batch), priority=prio)
-                return batch
-        return []
+                return req
+        return None
 
     def _ensure_workers(self):
         while len(self._threads) < self.workers:
@@ -371,36 +302,31 @@ class CompileServer:
         self._worker_idents.add(threading.get_ident())
         while True:
             with self._cv:
-                batch = self._pop_batch_locked()
-                while not batch:
+                req = self._pop_locked()
+                while req is None:
                     if self._closed:
                         return
                     self._cv.wait()
-                    batch = self._pop_batch_locked()
-            for req in batch:
-                self._run_one(req)
+                    req = self._pop_locked()
+            self._run_one(req)
 
-    def drain(self, max_batches=None):
-        """Manual-drain mode (``workers=0``): run queued batches on the
-        calling thread until the queue is empty (or ``max_batches``).
-        Returns the number of requests run."""
+    def drain(self):
+        """Manual-drain mode (``workers=0``): run queued requests on the
+        calling thread until the queue is empty. Returns the number of
+        requests run."""
         ran = 0
-        n = 0
-        while max_batches is None or n < max_batches:
+        while True:
             with self._cv:
-                batch = self._pop_batch_locked()
-            if not batch:
-                break
-            n += 1
-            for req in batch:
-                self._run_one(req)
-                ran += 1
-        return ran
+                req = self._pop_locked()
+            if req is None:
+                return ran
+            self._run_one(req)
+            ran += 1
 
     def _run_one(self, req):
         if req.finished:
             # Cancelled through its CompileRequest handle while queued
-            # (bypassing CompileServer.cancel): followers must still run.
+            # (bypassing CompileServer.cancel).
             self._unlink(req)
             return
         req.state = RUNNING
@@ -433,35 +359,15 @@ class CompileServer:
 
     def _unlink(self, req, outcome=None):
         """A request left the queue for good: drop it from the in-flight
-        table, count its ``outcome`` (DONE or FAILED, when it ran and
-        was not cancelled; a failure also counts against its key), and
-        hand its followers on."""
+        table and count its ``outcome`` (DONE or FAILED, when it ran and
+        was not cancelled; a failure also counts against its key)."""
         with self._cv:
-            if self._inflight.get(req.key) is req:
-                self._inflight.pop(req.key, None)
+            self._forget_locked(req)
             if outcome == DONE:
                 self.completed += 1
             elif outcome == FAILED:
                 self.failed += 1
                 self._failures[req.key] = self._failures.get(req.key, 0) + 1
-            orphans = self._adopt_followers_locked(req)
-            if self._depth:
-                self._cv.notify()
-        self._fail(orphans, "server closed")
-
-    def _adopt_followers_locked(self, req):
-        """Re-enqueue a finished leader's followers: the store is warm
-        now, so each follower's compile collapses to a rehydrate, and
-        the last one becomes the key's in-flight entry (later submits
-        dedup onto it). A closed server runs nothing more, so there the
-        followers are returned for the caller to fail."""
-        followers = [f for f in req.followers if not f.finished]
-        req.followers = []
-        if self._closed:
-            return followers
-        for f in followers:
-            self._enqueue_locked(f)
-        return []
 
     def _fail(self, reqs, error):
         """Fail requests that will never run and fire each one's
@@ -522,21 +428,6 @@ class CompileServer:
         event.wait(SYNC_WAIT_TIMEOUT)
         return fn()
 
-    # -- prewarming ------------------------------------------------------------
-
-    def warm(self, manifest, options=None):
-        """Replay a manifest (path or dict) into the shared store; see
-        :func:`repro.server.manifest.warm_from_manifest`."""
-        from repro.server.manifest import warm_from_manifest
-        if self.store is None:
-            return {"units": 0, "compiled": 0, "warm_hits": 0,
-                    "errors": ["server has no store (no cache_dir)"]}
-        summary = warm_from_manifest(manifest, self.store, options=options)
-        self._event("server.warm", units=summary["units"],
-                    compiled=summary["compiled"],
-                    errors=len(summary["errors"]))
-        return summary
-
     # -- lifecycle / stats -----------------------------------------------------
 
     @property
@@ -544,16 +435,14 @@ class CompileServer:
         return self._closed
 
     def close(self, wait=True):
-        """Stop the workers and fail every queued request (and its
-        followers) with ``on_error``; a running request finishes, and
-        its followers are failed when it does."""
+        """Stop the workers and fail every queued request with
+        ``on_error``; a running request finishes."""
         with self._cv:
             if self._closed:
                 return
             self._closed = True
-            queued = [req for by_tenant in self._queues.values()
-                      for dq in by_tenant.values() for req in dq]
-            victims = queued + [f for req in queued for f in req.followers]
+            victims = [req for by_tenant in self._queues.values()
+                       for dq in by_tenant.values() for req in dq]
             self._queues.clear()
             self._depth = 0
             self._tenant_depth.clear()
@@ -574,8 +463,6 @@ class CompileServer:
             per_tenant = dict(self._tenant_depth)
             blacklisted = sorted(repr(k) for k, n in self._failures.items()
                                  if n >= BLACKLIST_AFTER)
-        dedup = self.dedup_followers + self.dedup_waits
-        demand = self.submits + self.dedup_waits
         return {
             "workers": self.workers,
             "closed": self._closed,
@@ -591,11 +478,7 @@ class CompileServer:
             "shed": self.shed,
             "rejected": self.rejected,
             "blacklisted": blacklisted,
-            "dedup_followers": self.dedup_followers,
             "dedup_waits": self.dedup_waits,
-            "dedup_ratio": (dedup / demand) if demand else 0.0,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
             "store": self.store.stats() if self.store is not None else None,
         }
 

@@ -105,21 +105,7 @@ class ShardedCodeCache:
         with self._locks[idx]:
             return self.shards[idx].invalidate(fingerprint, reason=reason)
 
-    def contains(self, fingerprint):
-        """Existence probe without rehydrating (prewarm skip check)."""
-        shard = self.shard_for(fingerprint)
-        return os.path.exists(shard._path(fingerprint))
-
-    # -- maintenance -----------------------------------------------------------
-
-    def fingerprints(self):
-        """Every stored fingerprint, across all shards (manifest export)."""
-        out = []
-        for shard in self.shards:
-            for _mtime, _size, path in shard._entry_files():
-                name = os.path.basename(path)
-                out.append(name[:-len(".json")])
-        return sorted(out)
+    # -- stats -----------------------------------------------------------------
 
     def stats(self):
         """Aggregate of the per-shard stats; counter totals come from the

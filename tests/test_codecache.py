@@ -2,7 +2,7 @@
 
 In-process tests cover the on-disk store (round trips, fingerprint
 sensitivity, corruption quarantine, budget eviction, invalidation) and
-the queue semantics of a one-tenant CompileServer (priorities, dedup,
+the queue semantics of a one-tenant CompileServer (priorities,
 backpressure, blacklist, cancel). Subprocess tests prove the headline claim:
 a warm start runs the same program with **zero** compiles and
 byte-identical generated code.
@@ -25,8 +25,8 @@ from repro.codecache import (FORMAT_VERSION, PersistentCodeCache,
 from repro.compiler.options import CompileOptions
 from repro.errors import CompilationError
 from repro.observability import Telemetry
-from repro.server import (PRIORITY_OSR, PRIORITY_PREFETCH, PRIORITY_TIER1,
-                          PRIORITY_TIER2, CompileServer, daemon)
+from repro.server import (PRIORITY_OSR, PRIORITY_TIER1, PRIORITY_TIER2,
+                          CompileServer, daemon)
 from tests.conftest import load
 
 SRC = '''
@@ -502,33 +502,13 @@ class TestOneTenantServer:
             order = []
             reqs = [server.submit(key, lambda k=key: order.append(k) or k,
                                   priority=prio)
-                    for key, prio in (("pf", PRIORITY_PREFETCH),
-                                      ("t1", PRIORITY_TIER1),
+                    for key, prio in (("t1", PRIORITY_TIER1),
                                       ("osr", PRIORITY_OSR),
                                       ("t2", PRIORITY_TIER2))]
             gate.set()
             for r in reqs:
                 r.wait(5.0)
-            assert order == ["osr", "t2", "t1", "pf"]
-        finally:
-            gate.set()
-            server.close()
-
-    def test_inflight_dedup(self):
-        """A second submit for a queued key parks behind the first and
-        runs after it (a unit-cache hit in real use)."""
-        server, gate, _plug = self._gated_server()
-        try:
-            order = []
-            a = server.submit("k", lambda: order.append("a") or "va")
-            b = server.submit("k", lambda: order.append("b") or "vb")
-            assert a is not b
-            assert server.stats()["queue_depth"] == 1
-            gate.set()
-            assert a.wait(5.0) == "va"
-            assert b.wait(5.0) == "vb"
-            assert order == ["a", "b"]
-            assert server.stats()["dedup_followers"] == 1
+            assert order == ["osr", "t2", "t1"]
         finally:
             gate.set()
             server.close()
@@ -537,21 +517,20 @@ class TestOneTenantServer:
         monkeypatch.setattr(daemon, "PER_TENANT_LIMIT", 2)
         server, gate, _plug = self._gated_server()
         try:
-            pf = server.submit("pf", lambda: "pf",
-                               priority=PRIORITY_PREFETCH)
             t1 = server.submit("t1", lambda: "t1", priority=PRIORITY_TIER1)
-            # Queue full; an urgent request sheds the prefetch.
+            t2 = server.submit("t2", lambda: "t2", priority=PRIORITY_TIER2)
+            # Queue full; an urgent request sheds the tier-1 compile.
             osr = server.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
             assert not osr.rejected
-            assert pf.state == "failed"
-            assert "shed" in pf.error
-            # Another prefetch has nothing less urgent to shed: rejected.
-            pf2 = server.submit("pf2", lambda: "x",
-                                priority=PRIORITY_PREFETCH)
-            assert pf2.rejected
+            assert t1.state == "failed"
+            assert "shed" in t1.error
+            # Another tier-1 has nothing less urgent to shed: rejected.
+            late = server.submit("late", lambda: "x",
+                                 priority=PRIORITY_TIER1)
+            assert late.rejected
             gate.set()
             assert osr.wait(5.0) == "osr"
-            assert t1.wait(5.0) == "t1"
+            assert t2.wait(5.0) == "t2"
             assert server.stats()["shed"] == 1
             assert server.stats()["rejected"] == 1
         finally:
@@ -568,16 +547,16 @@ class TestOneTenantServer:
         server, gate, _plug = self._gated_server(telemetry=tel)
         try:
             errors = []
-            pf = server.submit("pf", lambda: "pf",
-                               priority=PRIORITY_PREFETCH,
+            t1 = server.submit("t1", lambda: "t1",
+                               priority=PRIORITY_TIER1,
                                on_error=errors.append)
             osr = server.submit("osr", lambda: "osr", priority=PRIORITY_OSR)
             assert not osr.rejected
-            assert pf.state == "failed"
+            assert t1.state == "failed"
             assert errors == ["shed under backpressure"]
             shed_events = tel.events("server.shed")
             assert len(shed_events) == 1
-            assert shed_events[0].data["key"] == repr("pf")
+            assert shed_events[0].data["key"] == repr("t1")
             assert tel.metrics.get("server.shed") == 1
         finally:
             gate.set()
@@ -590,7 +569,7 @@ class TestOneTenantServer:
         server, gate, _plug = self._gated_server()
         try:
             errors = []
-            server.submit("pf", lambda: "pf", priority=PRIORITY_PREFETCH,
+            server.submit("t1", lambda: "t1", priority=PRIORITY_TIER1,
                           on_error=errors.append)
             server.submit("osr1", lambda: "a", priority=PRIORITY_OSR)
             server.submit("osr2", lambda: "b", priority=PRIORITY_OSR)
@@ -680,25 +659,6 @@ class TestAsyncLancet:
             assert stats["server"]["completed"] >= 1
         finally:
             j.close()
-
-    def test_prefetch_warms_unit_cache(self):
-        opts = CompileOptions(compile_workers=1)
-        j = load(SRC, options=opts)
-        try:
-            req = j.prefetch("Main", "addmul")
-            assert req is not None
-            req._event.wait(5.0)
-            assert j.stats()["compiles"] == 1
-            # The foreground call is now a unit-cache hit, not a compile.
-            f = j.compile_function("Main", "addmul")
-            assert f(5) == 22
-            assert j.stats()["compiles"] == 1
-        finally:
-            j.close()
-
-    def test_prefetch_without_service_is_noop(self):
-        j = load(SRC)
-        assert j.prefetch("Main", "addmul") is None
 
     def test_close_is_idempotent(self):
         j = load(SRC, options=CompileOptions(compile_workers=1))

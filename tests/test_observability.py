@@ -1,9 +1,13 @@
 """The observability subsystem: event traces, metrics, compile reports,
 ``Lancet.stats()``, and the CLI surface (--jit-stats / --trace-jit)."""
 
+import ast
 import io
 import json
+import os
+import re
 
+import repro.observability
 from repro import CompileOptions, Lancet, Telemetry
 from repro.observability import EventTrace, Metrics, load_jsonl
 from tests.conftest import load
@@ -73,6 +77,33 @@ class TestEventTrace:
         path = tmp_path / "trace.jsonl"
         assert t.export_jsonl(str(path)) == 1
         assert load_jsonl(str(path))[0].kind == "x"
+
+
+class TestCatalogue:
+    def test_server_kinds_match_the_catalogue(self):
+        """Every ``server.<kind>`` string the compile server and the
+        Lancet facade emit is declared in the observability catalogue,
+        and the catalogue declares no server kind that nothing emits."""
+        root = os.path.dirname(repro.__file__)
+        server_dir = os.path.join(root, "server")
+        paths = [os.path.join(server_dir, name)
+                 for name in sorted(os.listdir(server_dir))
+                 if name.endswith(".py")]
+        paths.append(os.path.join(root, "jit", "api.py"))
+        emitted = set()
+        for path in paths:
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            emitted.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and re.fullmatch(r"server\.[a-z_]+", node.value))
+        declared = set(re.findall(r"\bserver\.[a-z_]+",
+                                  repro.observability.__doc__))
+        assert emitted, "no server kinds found"
+        assert sorted(emitted - declared) == []
+        assert sorted(declared - emitted) == []
 
 
 class TestMetrics:

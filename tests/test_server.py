@@ -1,9 +1,10 @@
 """The multi-tenant compile server: sharded store, cross-VM dedup,
-admission control / fairness / batching / blacklisting, manifest
-prewarming, and how a tenant VM degrades when its server closes."""
+admission control / fairness / blacklisting, and how a tenant VM
+degrades when its server closes."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -11,10 +12,9 @@ from repro import Lancet
 from repro.compiler.options import CompileOptions
 from repro.errors import CompilationError
 from repro.observability import Telemetry
-from repro.server import (PRIORITY_OSR, PRIORITY_PREFETCH, PRIORITY_TIER1,
-                          CompileServer, ShardedCodeCache, build_manifest,
-                          close_shared_servers, daemon, shared_server,
-                          warm_from_manifest, write_manifest)
+from repro.server import (PRIORITY_OSR, PRIORITY_TIER1, CompileServer,
+                          ShardedCodeCache, close_shared_servers, daemon,
+                          shared_server)
 
 SRC = '''
     def work(n) {
@@ -35,6 +35,13 @@ def make_jit(server=None, **opts):
     if server is not None:
         j.attach_compile_server(server)
     return j
+
+
+def stored_fingerprints(store):
+    """Every fingerprint on disk, read from the shard directories."""
+    return sorted(name[:-len(".json")] for shard in store.shards
+                  for name in os.listdir(shard.root)
+                  if name.endswith(".json"))
 
 
 # -- the sharded store --------------------------------------------------------
@@ -73,7 +80,6 @@ class TestShardedCodeCache:
         store = ShardedCodeCache(tmp_path / "cc", shards=2,
                                  telemetry=Telemetry())
         assert store.load("ab" + "0" * 62, jit=None) is None
-        assert not store.contains("ab" + "0" * 62)
         s = store.stats()
         assert s["shards"] == 2
         assert s["entries"] == 0
@@ -87,9 +93,7 @@ class TestShardedCodeCache:
             f1 = j1.compile_function("Main", "work")
             assert f1(10) == EXPECTED_WORK_10
             assert server.store.stats()["entries"] == 1
-            fps = server.store.fingerprints()
-            assert len(fps) == 1
-            assert server.store.contains(fps[0])
+            assert len(stored_fingerprints(server.store)) == 1
             j1.close()
             # A brand-new VM warm-starts from the tenant's store entry.
             j2 = make_jit(server)
@@ -106,16 +110,16 @@ class TestShardedCodeCache:
         try:
             j = make_jit(server)
             j.compile_function("Main", "work")(10)
-            fp = server.store.fingerprints()[0]
+            fp, = stored_fingerprints(server.store)
             assert server.store.invalidate(fp)
-            assert not server.store.contains(fp)
+            assert stored_fingerprints(server.store) == []
             assert server.store.stats()["entries"] == 0
             j.close()
         finally:
             server.close()
 
 
-# -- the queue: admission, fairness, batching, priorities ---------------------
+# -- the queue: admission, fairness, priorities -------------------------------
 
 
 class TestServerQueue:
@@ -126,18 +130,17 @@ class TestServerQueue:
             monkeypatch.setattr(daemon, name, value)
         return CompileServer(workers=0)
 
-    def test_fifo_round_robin_between_tenants(self, monkeypatch):
-        server = self.drain_server(monkeypatch, BATCH_MAX=2)
+    def test_fifo_round_robin_between_tenants(self):
+        server = self.drain_server()
         try:
             order = []
             for key, tenant in (("a1", "A"), ("a2", "A"), ("a3", "A"),
-                                ("b1", "B")):
+                                ("b1", "B"), ("b2", "B")):
                 server.submit(key, lambda k=key: order.append(k) or k,
                               tenant=tenant)
-            server.drain()
-            # A's first batch (BATCH_MAX=2), then B's turn, then A again.
-            assert order == ["a1", "a2", "b1", "a3"]
-            assert server.stats()["batches"] == 3
+            assert server.drain() == 5
+            # One request per turn; each tenant's own requests stay FIFO.
+            assert order == ["a1", "b1", "a2", "b2", "a3"]
         finally:
             server.close()
 
@@ -145,12 +148,12 @@ class TestServerQueue:
         server = self.drain_server()
         try:
             order = []
-            server.submit("pf", lambda: order.append("pf"), tenant="A",
-                          priority=PRIORITY_PREFETCH)
+            server.submit("t1", lambda: order.append("t1"), tenant="A",
+                          priority=PRIORITY_TIER1)
             server.submit("osr", lambda: order.append("osr"), tenant="B",
                           priority=PRIORITY_OSR)
             server.drain()
-            assert order == ["osr", "pf"]
+            assert order == ["osr", "t1"]
         finally:
             server.close()
 
@@ -172,66 +175,38 @@ class TestServerQueue:
         server = self.drain_server(monkeypatch, QUEUE_LIMIT=2)
         try:
             errors = []
-            server.submit("pf", lambda: "pf", tenant="A",
-                          priority=PRIORITY_PREFETCH,
-                          on_error=errors.append)
+            low = server.submit("low", lambda: "low", tenant="A",
+                                priority=PRIORITY_TIER1,
+                                on_error=errors.append)
             server.submit("t1", lambda: "t1", tenant="B",
                           priority=PRIORITY_TIER1)
             osr = server.submit("osr", lambda: "osr", tenant="C",
                                 priority=PRIORITY_OSR)
             assert not osr.rejected
+            assert low.state == "failed"
             assert errors == ["shed under backpressure"]
-            # Nothing strictly less urgent left for another prefetch.
-            pf2 = server.submit("pf2", lambda: "x", tenant="D",
-                                priority=PRIORITY_PREFETCH)
-            assert pf2.rejected
+            # Nothing strictly less urgent left for another tier-1.
+            late = server.submit("late", lambda: "x", tenant="D",
+                                 priority=PRIORITY_TIER1)
+            assert late.rejected
             s = server.stats()
             assert s["shed"] == 1 and s["rejected"] == 1
         finally:
             server.close()
 
-    def test_shed_leader_fails_followers_too(self, monkeypatch):
-        """A shed queued leader takes its dedup followers with it: each
-        is failed (never orphaned waiting on a compile that will not
-        happen) and its on_error fires, so the tenants fall back."""
-        server = self.drain_server(monkeypatch, QUEUE_LIMIT=2)
-        try:
-            errors = []
-            lead = server.submit("pf", lambda: "pf", tenant="A",
-                                 priority=PRIORITY_PREFETCH,
-                                 on_error=lambda e: errors.append(("A", e)))
-            follow = server.submit("pf", lambda: "pf2", tenant="B",
-                                   priority=PRIORITY_PREFETCH,
-                                   on_error=lambda e: errors.append(("B", e)))
-            server.submit("t1", lambda: "t1", tenant="C",
-                          priority=PRIORITY_TIER1)
-            osr = server.submit("osr", lambda: "osr", tenant="D",
-                                priority=PRIORITY_OSR)
-            assert not osr.rejected
-            assert lead.finished and follow.finished
-            assert follow.state == "failed"
-            assert follow.wait(0.1) is None     # returns, never hangs
-            assert sorted(errors) == [("A", "shed under backpressure"),
-                                      ("B", "shed under backpressure")]
-            assert server.stats()["shed"] == 2  # leader + follower
-        finally:
-            server.close()
-
-    def test_handle_cancel_of_queued_leader_adopts_followers(self):
-        """Cancelling a queued leader via its public CompileRequest
-        handle (bypassing CompileServer.cancel) must not orphan its
-        followers: the worker's early return re-enqueues them."""
+    def test_handle_cancel_of_queued_request_never_runs(self):
+        """A queued request cancelled via its public CompileRequest
+        handle (bypassing CompileServer.cancel) is skipped by the
+        worker and leaves the in-flight table."""
         server = self.drain_server()
         try:
             ran = []
-            lead = server.submit("k", lambda: ran.append("lead"),
-                                 tenant="A")
-            follow = server.submit("k", lambda: ran.append("follow") or "F",
-                                   tenant="B")
-            lead.cancel()               # the handle, not server.cancel()
+            req = server.submit("k", lambda: ran.append("k"), tenant="A")
+            req.cancel()                # the handle, not server.cancel()
             server.drain()
-            assert ran == ["follow"]
-            assert follow.wait(1.0) == "F"
+            assert ran == []
+            assert req.state == "cancelled"
+            assert server.stats()["in_flight"] == 0
         finally:
             server.close()
 
@@ -336,65 +311,11 @@ class TestServerQueue:
             sys.setswitchinterval(interval)
             server.close()
 
-    def test_close_fails_followers_of_a_running_leader(self):
-        """Closing while a leader runs: its followers can never run, so
-        they fail (on_error once) when the leader finishes."""
-        server = self.drain_server()
-        errors = []
-
-        def leader():
-            server.close()
-            return "L"
-
-        lead = server.submit("k", leader, tenant="A")
-        follow = server.submit("k", lambda: "F", tenant="B",
-                               on_error=errors.append)
-        server.drain()
-        assert lead.wait(0) == "L"
-        assert follow.state == "failed"
-        assert errors == ["server closed"]
-
 
 # -- cross-VM dedup -----------------------------------------------------------
 
 
 class TestCrossVMDedup:
-    def test_async_follower_runs_after_leader(self):
-        server = CompileServer(workers=0)
-        try:
-            calls = []
-            lead = server.submit("k", lambda: calls.append("lead") or "L",
-                                 tenant="A")
-            follow = server.submit("k", lambda: calls.append("follow") or "F",
-                                   tenant="B")
-            assert follow is not lead       # own handle, own result
-            server.drain()
-            # The leader compiled; the follower ran afterwards (against
-            # a then-warm store in real use) and got its own result.
-            assert calls == ["lead", "follow"]
-            assert lead.wait(1.0) == "L"
-            assert follow.wait(1.0) == "F"
-            assert server.stats()["dedup_followers"] == 1
-        finally:
-            server.close()
-
-    def test_urgent_follower_inherits_priority(self):
-        server = CompileServer(workers=0)
-        try:
-            order = []
-            server.submit("k", lambda: order.append("k"), tenant="A",
-                          priority=PRIORITY_PREFETCH)
-            server.submit("x", lambda: order.append("x"), tenant="B",
-                          priority=PRIORITY_TIER1)
-            # B joins A's prefetch with OSR urgency: the shared compile
-            # must now beat B's own tier-1 request.
-            server.submit("k", lambda: order.append("k2"), tenant="B",
-                          priority=PRIORITY_OSR)
-            server.drain()
-            assert order[0] == "k"
-        finally:
-            server.close()
-
     def test_coordinate_single_flight_across_threads(self, tmp_path):
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
         try:
@@ -425,6 +346,32 @@ class TestCrossVMDedup:
             assert len(expensive) == 1
             assert len(results) == 4
             assert server.stats()["dedup_waits"] == 3
+        finally:
+            server.close()
+
+    def test_duplicate_promotions_compile_once_through_the_store(
+            self, tmp_path):
+        """Two VMs queue the same promotion key. The second request is
+        an ordinary one: it runs after the first, whose unit is in the
+        shared store by then, so it rehydrates instead of compiling."""
+        server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
+        try:
+            jits = [make_jit(server, tier1_threshold=1, tier2_threshold=100)
+                    for _ in range(2)]
+            tfs = [j.compile_tiered("Main", "work") for j in jits]
+            for tf in tfs:
+                assert tf(10) == EXPECTED_WORK_10   # queues the promotion
+            assert server.stats()["queue_depth"] == 2
+            assert server.drain() == 2
+            compiles = [j.telemetry.metrics.get("compiles") for j in jits]
+            assert compiles == [1, 0]
+            assert jits[1].stats()["codecache"]["hits"] >= 1
+            assert [tf.tier for tf in tfs] == [1, 1]
+            assert tfs[0].compiled is not tfs[1].compiled
+            interpreted = jits[0].vm.call("Main", "work", [7])
+            assert [tf(7) for tf in tfs] == [interpreted, interpreted]
+            for j in jits:
+                j.close()
         finally:
             server.close()
 
@@ -561,42 +508,6 @@ class TestAttachedServer:
             server.close()
 
 
-# -- prefetch fallback (satellite) --------------------------------------------
-
-
-class TestPrefetchFallback:
-    def test_prefetch_without_service_probes_cache(self, tmp_path):
-        cache = str(tmp_path / "cc")
-        j1 = make_jit(None, cache_dir=cache)
-        f = j1.compile_function("Main", "work")
-        assert f(10) == EXPECTED_WORK_10
-        j1.close()
-        # No compile server: prefetch degrades to a warm-start probe and
-        # installs the cached unit synchronously.
-        j2 = make_jit(None, cache_dir=cache)
-        assert j2.compile_server is None
-        hit = j2.prefetch("Main", "work")
-        assert hit is not None
-        assert hit(10) == EXPECTED_WORK_10
-        assert j2.telemetry.metrics.get("compiles") == 0
-        # The unit cache now holds it: compile_function is a pure hit.
-        assert j2.compile_function("Main", "work")(10) == EXPECTED_WORK_10
-        assert j2.telemetry.metrics.get("compiles") == 0
-        j2.close()
-
-    def test_prefetch_cold_miss_never_compiles(self, tmp_path):
-        j = make_jit(None, cache_dir=str(tmp_path / "cc"))
-        assert j.prefetch("Main", "other") is None
-        assert j.telemetry.metrics.get("compiles") == 0
-        j.close()
-
-    def test_prefetch_without_any_cache_is_none(self):
-        j = make_jit(None)
-        assert j.codecache is None
-        assert j.prefetch("Main", "work") is None
-        j.close()
-
-
 # -- per-kind hit/miss breakdown (satellite) ----------------------------------
 
 
@@ -617,66 +528,6 @@ class TestByKindStats:
         by_kind = j3.stats()["codecache"]["by_kind"]
         assert by_kind["unit"]["misses"] >= 1
         j3.close()
-
-
-# -- manifest prewarming ------------------------------------------------------
-
-
-class TestManifest:
-    def test_build_and_warm_roundtrip(self, tmp_path):
-        j = make_jit(None)
-        j.compile_function("Main", "work")(10)
-        j.compile_function("Main", "other")(3)
-        manifest = build_manifest(j)
-        assert manifest["version"] == 1
-        assert {(u["cls"], u["method"]) for u in manifest["units"]} == \
-            {("Main", "work"), ("Main", "other")}
-        assert manifest["sources"]
-        j.close()
-
-        store = ShardedCodeCache(tmp_path / "cc", telemetry=Telemetry())
-        summary = warm_from_manifest(manifest, store)
-        assert summary["errors"] == []
-        assert summary["units"] == 2
-        assert store.stats()["entries"] == 2
-        # Idempotent: a second warm rehydrates, compiles nothing.
-        summary2 = warm_from_manifest(manifest, store)
-        assert summary2["compiled"] == 0
-        assert summary2["warm_hits"] >= 2
-
-    def test_write_manifest_and_server_warm(self, tmp_path):
-        j = make_jit(None)
-        j.compile_function("Main", "work")(10)
-        path = tmp_path / "manifest.json"
-        write_manifest(j, str(path))
-        j.close()
-        server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
-        try:
-            summary = server.warm(str(path))
-            assert summary["errors"] == []
-            assert server.store.stats()["entries"] == 1
-            # A tenant of the warmed server never compiles.
-            t = make_jit(server)
-            assert t.compile_function("Main", "work")(10) \
-                == EXPECTED_WORK_10
-            assert t.telemetry.metrics.get("compiles") == 0
-            t.close()
-        finally:
-            server.close()
-
-    def test_warm_collects_errors_instead_of_raising(self, tmp_path):
-        bad = {"version": 1, "sources": [], "units":
-               [{"cls": "Main", "method": "missing", "tier": 2}],
-               "fingerprints": []}
-        store = ShardedCodeCache(tmp_path / "cc")
-        summary = warm_from_manifest(bad, store)
-        assert summary["units"] == 0
-        assert len(summary["errors"]) == 1
-
-    def test_version_mismatch_is_an_error(self, tmp_path):
-        store = ShardedCodeCache(tmp_path / "cc")
-        summary = warm_from_manifest({"version": 99}, store)
-        assert summary["errors"]
 
 
 # -- the shared-server registry -----------------------------------------------
