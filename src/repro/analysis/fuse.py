@@ -18,7 +18,7 @@ def fuse_blocks(blocks, entry_id):
 
     Chains of continuation blocks (produced by splitting at join points
     that turned out to have one live edge, and by loop unrolling) collapse
-    into straight-line code, removing label-dispatch overhead. A single
+    into straight-line code, removing a jump per link. A single
     pass over the blocks: fusing never changes any surviving block's
     in-degree (the absorbed block's outgoing edges move wholesale), and
     each fusion site keeps absorbing its whole chain before moving on, so

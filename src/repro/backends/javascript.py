@@ -2,9 +2,13 @@
 
 Lancet acts as a bytecode decompilation front-end: guest code is staged
 exactly as for native compilation, and the resulting IR is rendered as
-JavaScript. Residual virtual calls become JS method calls — this plays the
-role of the paper's DOM macro (``invokeMethod`` on classes inheriting the
-``JS`` marker emits ``receiver.name(args)``).
+JavaScript. Control flow comes from the same structuring step as the
+Python backend (:mod:`repro.lms.structure`): nested ``if``/``while (true)``
+with ``break;``/``continue;``, and a ``switch (__L)`` dispatch loop only
+for a unit the structurer cannot express. Residual virtual calls become
+JS method calls — this plays the role of the paper's DOM macro
+(``invokeMethod`` on classes inheriting the ``JS`` marker emits
+``receiver.name(args)``).
 
 Usage::
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 from repro.errors import CompilationError
 from repro.lms.ir import Branch, Jump, Return
 from repro.lms.rep import ConstRep, StaticRep, Sym
+from repro.lms.structure import structure, walk
 from repro.pipeline.backend import Backend, register_backend
 
 _PRELUDE = """\
@@ -77,18 +82,44 @@ def cross_compile_js(jit, class_name, method_name=None, fn_name=None):
 
 
 def render_js(result, fn_name):
+    """``result``'s CFG as one JS function: nested ``if``/``while`` from
+    the shared structurer, or a ``switch (__L)`` dispatch loop when the
+    structurer reports the unit unstructured."""
     blocks = result.blocks
     params = ", ".join(result.param_names)
     lines = [_PRELUDE, "function %s(%s) {" % (fn_name, params)]
-    order = sorted(blocks)
+    tree, __ = structure(blocks, result.entry_bid)
+    if tree is not None:
+        for depth, kind, arg in walk(tree):
+            pad = "  " * (depth + 1)
+            if kind == "block":
+                block = blocks[arg]
+                lines.extend(pad + _stmt_js(stmt) for stmt in block.stmts)
+                lines.extend(pad + ln for ln in _term_js(block.terminator))
+            elif kind == "assign":
+                lines.extend(pad + ln for ln in _assigns_js(arg))
+            elif kind == "if":
+                lines.append(pad + "if (%s) {" % _rep(arg))
+            elif kind == "ifnot":
+                lines.append(pad + "if (!(%s)) {" % _rep(arg))
+            elif kind == "else":
+                lines.append(pad + "} else {")
+            elif kind == "loop":
+                lines.append(pad + "while (true) {")
+            elif kind == "end":
+                lines.append(pad + "}")
+            else:
+                lines.append(pad + kind + ";")     # break / continue
+        lines.append("}")
+        return "\n".join(lines)
     lines.append("  var __L = %d;" % result.entry_bid)
     lines.append("  while (true) { switch (__L) {")
-    for bid in order:
+    for bid in sorted(blocks):
         block = blocks[bid]
         lines.append("  case %d: {" % bid)
         for stmt in block.stmts:
             lines.append("    " + _stmt_js(stmt))
-        lines.extend("    " + ln for ln in _term_js(block.terminator))
+        lines.extend("    " + ln for ln in _dispatch_js(block.terminator))
         lines.append("  }")
     lines.append("  } }")
     lines.append("}")
@@ -172,6 +203,17 @@ def _stmt_js(stmt):
 
 
 def _term_js(term):
+    """A block's exit; the edges of ``Jump``/``Branch`` are laid out by
+    the caller."""
+    if isinstance(term, (Jump, Branch)):
+        return []
+    if isinstance(term, Return):
+        return ["return %s;" % _rep(term.value)]
+    raise CompilationError("JS backend: cannot translate terminator %r"
+                           % (term,))
+
+
+def _dispatch_js(term):
     if isinstance(term, Jump):
         return _assigns_js(term.phi_assigns) + \
             ["__L = %d; continue;" % term.target]
@@ -184,11 +226,16 @@ def _term_js(term):
         out.append("  __L = %d; continue;" % term.false_target)
         out.append("}")
         return out
-    if isinstance(term, Return):
-        return ["return %s;" % _rep(term.value)]
-    raise CompilationError("JS backend: cannot translate terminator %r"
-                           % (term,))
+    return _term_js(term)
 
 
 def _assigns_js(assigns):
-    return ["var %s = %s;" % (name, _rep(rep)) for name, rep in assigns]
+    # Phi assigns are parallel (a loop may swap two parameters), so
+    # several go through one destructuring assignment.
+    if not assigns:
+        return []
+    if len(assigns) == 1:
+        (name, rep), = assigns
+        return ["var %s = %s;" % (name, _rep(rep))]
+    return ["var [%s] = [%s];" % (", ".join(n for n, __ in assigns),
+                                  ", ".join(_rep(r) for __, r in assigns))]

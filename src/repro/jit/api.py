@@ -261,6 +261,13 @@ class Lancet:
         from repro.baseline import baseline_supported
         return baseline_supported()
 
+    def count_shared_cache(self, what):
+        """Count one of this VM's code-cache lookups or stores in its own
+        metrics when the store is a server's shared one: that store
+        counts into the server's telemetry, for every tenant at once."""
+        if self.codecache.telemetry is not self.telemetry:
+            self.telemetry.inc("codecache." + what)
+
     def _cached_unit(self, method, receiver, options, rebuild):
         opts = options or self.options
         if not opts.unit_cache:
@@ -282,11 +289,14 @@ class Lancet:
                     compiled = self.codecache.load(fingerprint, self,
                                                    recompile=rebuild,
                                                    kind=kind)
+                    self.count_shared_cache("misses" if compiled is None
+                                       else "hits")
                     if compiled is not None:
                         self.compile_log.append((compiled.name, compiled))
                         return compiled
                     compiled = rebuild()
-                    self.codecache.store(fingerprint, compiled, opts)
+                    if self.codecache.store(fingerprint, compiled, opts):
+                        self.count_shared_cache("stores")
                     return compiled
 
                 # Cross-VM single-flight: with a compile server, the
@@ -587,8 +597,16 @@ class Lancet:
             "latency": latency,
             "units": self.tiers.snapshot(),
         }
-        if self.codecache is not None:
-            codecache = self.codecache.stats()
+        cc = self.codecache
+        if cc is not None and cc.telemetry is self.telemetry:
+            codecache = cc.stats()
+        elif cc is not None:
+            # A server's shared store: its counters are fleet-wide (see
+            # stats()["server"]["store"]); these are this VM's own.
+            codecache = {"enabled": cc.enabled, "shared": True,
+                         "hits": m.get("codecache.hits"),
+                         "misses": m.get("codecache.misses"),
+                         "stores": m.get("codecache.stores")}
         else:
             codecache = {"enabled": False,
                          "hits": m.get("codecache.hits"),

@@ -1,18 +1,24 @@
 """Python code generation from the staged IR.
 
-The CFG is emitted as one Python function with a label-dispatch loop::
+The CFG is emitted as one Python function whose control flow is nested
+``if``/``while``, from the tree :mod:`repro.lms.structure` builds::
 
     def __compiled(a1, a2):
-        __L = 0
-        while True:
-            if __L == 0:
-                s1 = _add(a1, 1)
-                ...
+     s1 = _add(a1, 1)
+     while True:
+      if not s2:
+       break
+      ...
 
+Each level indents by one space, so deep decision trees stay small.
 Single-predecessor blocks read their predecessor's variables directly
-(function locals persist across dispatch iterations and the predecessor
-dominates); merge blocks receive values through explicit parameter
-variables assigned by each predecessor.
+(the predecessor dominates them); merge blocks receive values through
+explicit parameter variables assigned by each predecessor.
+
+A unit the structurer cannot express (an irreducible region, an exit out
+of two loops, nesting past CPython's limits) falls back to one
+``while True:`` loop over an ``if/elif __L == k:`` chain, and
+:attr:`PyCodegen.fallback` holds the structurer's reason.
 
 This module only *renders*: block fusion and DCE are PassManager passes
 (:mod:`repro.pipeline.passes`) shared by every backend; the names are
@@ -25,6 +31,7 @@ from repro.analysis.dce import eliminate_dead  # noqa: F401  (re-export)
 from repro.analysis.fuse import fuse_blocks  # noqa: F401  (re-export)
 from repro.lms.ir import Branch, Deopt, Jump, OsrCompile, Return
 from repro.lms.rep import ConstRep, StaticRep, Sym
+from repro.lms.structure import structure, walk
 
 
 def _no_delite(*args):
@@ -53,6 +60,7 @@ class PyCodegen:
         self._native_bindings = {}   # binding name -> callable
         self.native_refs = {}        # binding name -> (class, native name)
         self.persist_blockers = []   # why this source can't be persisted
+        self.fallback = None         # why generate fell back, if it did
 
     # -- value rendering -------------------------------------------------------
 
@@ -210,7 +218,24 @@ class PyCodegen:
         vals = ", ".join(self.rep(v) for __, v in assigns)
         return ["%s = %s" % (names, vals)]
 
-    def terminator(self, term):
+    def exit_lines(self, term):
+        """The lines of a terminator that leaves the function; empty for
+        the edges (``Jump``/``Branch``) the caller lays out."""
+        if isinstance(term, Return):
+            return ["return %s" % self.rep(term.value)]
+        if isinstance(term, Deopt):
+            lives = ", ".join(self.rep(a) for a in term.lives)
+            return ["raise _DeoptEx(%d, (%s))"
+                    % (term.meta_id, lives + ("," if lives else ""))]
+        if isinstance(term, OsrCompile):
+            lives = ", ".join(self.rep(a) for a in term.lives)
+            return ["return _osr(%d, (%s))"
+                    % (term.meta_id, lives + ("," if lives else ""))]
+        if isinstance(term, (Jump, Branch)):
+            return []
+        raise AssertionError("missing terminator")
+
+    def _dispatch_edges(self, term):
         if isinstance(term, Jump):
             return self._assigns(term.phi_assigns) + \
                 ["__L = %d" % term.target, "continue"]
@@ -224,17 +249,7 @@ class PyCodegen:
                 ["__L = %d" % term.false_target, "continue"]
             lines += ["    " + ln for ln in body]
             return lines
-        if isinstance(term, Return):
-            return ["return %s" % self.rep(term.value)]
-        if isinstance(term, Deopt):
-            lives = ", ".join(self.rep(a) for a in term.lives)
-            return ["raise _DeoptEx(%d, (%s))"
-                    % (term.meta_id, lives + ("," if lives else ""))]
-        if isinstance(term, OsrCompile):
-            lives = ", ".join(self.rep(a) for a in term.lives)
-            return ["return _osr(%d, (%s))"
-                    % (term.meta_id, lives + ("," if lives else ""))]
-        raise AssertionError("missing terminator")
+        return self.exit_lines(term)
 
     # -- whole function ----------------------------------------------------------------
 
@@ -249,37 +264,60 @@ class PyCodegen:
             fuse_blocks(blocks, entry_id)
             eliminate_dead(blocks, entry_id)
         lines = ["def %s(%s):" % (self.fn_name, ", ".join(param_names))]
-        order = sorted(blocks)
-        if len(order) == 1 and blocks[entry_id].block_id == entry_id:
-            # Straight-line fast path: no dispatch loop needed.
-            block = blocks[entry_id]
-            body = []
-            for stmt in block.stmts:
-                body.extend(self.stmt(stmt).split("\n"))
-            term = self.terminator(block.terminator)
-            if term and term[-1] == "continue":  # pragma: no cover
-                raise AssertionError("jump out of a single-block function")
-            body += term
-            lines += ["    " + ln for ln in body] or ["    pass"]
+        tree, self.fallback = structure(blocks, entry_id)
+        if tree is not None:
+            self._render_tree(tree, blocks, lines)
         else:
-            lines.append("    __L = %d" % entry_id)
-            lines.append("    while True:")
-            first = True
-            for bid in order:
-                block = blocks[bid]
-                kw = "if" if first else "elif"
-                first = False
-                lines.append("        %s __L == %d:" % (kw, bid))
-                body = [self.stmt(s) for s in block.stmts]
-                body += self.terminator(block.terminator)
-                if not body:
-                    body = ["pass"]
-                for chunk in body:
-                    for ln in chunk.split("\n"):
-                        lines.append("            " + ln)
-
+            self._render_dispatch(blocks, entry_id, lines)
         source = "\n".join(lines) + "\n"
         return self.exec_source(source, callv, callm, mkcont, osr), source
+
+    def _render_tree(self, tree, blocks, lines):
+        opened = []      # len(lines) after each open suite's header
+        for depth, kind, arg in walk(tree):
+            pad = " " * (depth + 1)
+            if kind == "block":
+                block = blocks[arg]
+                body = [self.stmt(stmt) for stmt in block.stmts]
+                body += self.exit_lines(block.terminator)
+                if body:
+                    # A guard renders as two lines; indent them all.
+                    lines.append(pad + "\n".join(body).replace(
+                        "\n", "\n" + pad))
+            elif kind == "assign":
+                lines.extend(pad + ln for ln in self._assigns(arg))
+            elif kind in ("else", "end"):
+                if len(lines) == opened.pop():
+                    lines.append(pad + " pass")
+                if kind == "else":
+                    lines.append(pad + "else:")
+                    opened.append(len(lines))
+            else:
+                if kind == "if":
+                    lines.append(pad + "if %s:" % self.rep(arg))
+                elif kind == "ifnot":
+                    lines.append(pad + "if not %s:" % self.rep(arg))
+                elif kind == "loop":
+                    lines.append(pad + "while True:")
+                else:
+                    lines.append(pad + kind)      # break / continue
+                    continue
+                opened.append(len(lines))
+
+    def _render_dispatch(self, blocks, entry_id, lines):
+        lines.append("    __L = %d" % entry_id)
+        lines.append("    while True:")
+        first = True
+        for bid in sorted(blocks):
+            block = blocks[bid]
+            lines.append("        %s __L == %d:" % ("if" if first else "elif",
+                                                    bid))
+            first = False
+            body = [self.stmt(stmt) for stmt in block.stmts]
+            body += self._dispatch_edges(block.terminator)
+            for chunk in body or ["pass"]:
+                for ln in chunk.split("\n"):
+                    lines.append("            " + ln)
 
     def exec_source(self, source, callv, callm, mkcont, osr,
                     filename="<lancet-compiled>"):

@@ -20,6 +20,11 @@ caches, macro registry, Delite runtime). It bundles:
 Event kinds emitted by the built-in instrumentation::
 
     compile.start / compile.phase / compile.end
+                             (``compile.phase`` with ``phase="codegen"``
+                             carries ``structured``: False when the unit
+                             fell back to label dispatch, counted as
+                             ``codegen.unstructured``, with the reason in
+                             ``fallback``)
     inline.decision          (action: inline | residual, policy)
     unroll.clone             (polyvariant loop-header cloning)
     guard.install            (speculation guards: kind, reason)

@@ -102,6 +102,12 @@ class PythonBackend(Backend):
             report.blocks = len(result.blocks)
             report.stmts = sum(len(b.stmts)
                                for b in result.blocks.values())
+        tel = jit.telemetry
+        if codegen.fallback is not None:
+            tel.inc("codegen.unstructured")
+        tel.record("compile.phase", unit=unit.name, phase="codegen",
+                   structured=codegen.fallback is None,
+                   fallback=codegen.fallback)
         compiled = CompiledFunction(jit, fn, source, metas,
                                     recompile=unit.recompile,
                                     name=unit.name,

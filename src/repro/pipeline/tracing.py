@@ -754,6 +754,7 @@ class TraceManager:
                                    opts)
             if jit.codecache.store(fp, compiled, opts):
                 trace.fingerprint = fp
+                jit.count_shared_cache("stores")
         self.telemetry.inc("trace.installed")
 
     def _load_persisted(self, method, site):
@@ -767,6 +768,7 @@ class TraceManager:
         opts = self.trace_options()
         fp = trace_fingerprint(self.jit, method, site[1], opts)
         compiled = cc.load(fp, self.jit, recompile=None, kind="trace")
+        self.jit.count_shared_cache("misses" if compiled is None else "hits")
         if compiled is None:
             return False
         live = sorted(live_at(method, site[1]))

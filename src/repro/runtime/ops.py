@@ -56,12 +56,16 @@ def guest_mul(a, b):
 
 
 def guest_div(a, b):
+    # Ints truncate toward zero; `type() is int` keeps bools out.
+    if type(a) is int and type(b) is int:
+        if b == 0:
+            raise GuestArithmeticError("division by zero")
+        q = a // b
+        if q < 0 and q * b != a:
+            q += 1
+        return q
     if b == 0:
         raise GuestArithmeticError("division by zero")
-    if isinstance(a, int) and isinstance(b, int) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
     try:
         return a / b
     except TypeError:
@@ -69,11 +73,16 @@ def guest_div(a, b):
 
 
 def guest_mod(a, b):
+    # The remainder takes the dividend's sign, matching guest_div.
+    if type(a) is int and type(b) is int:
+        if b == 0:
+            raise GuestArithmeticError("modulo by zero")
+        r = a % b
+        if r and (a ^ b) < 0:
+            r -= b
+        return r
     if b == 0:
         raise GuestArithmeticError("modulo by zero")
-    if isinstance(a, int) and isinstance(b, int) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
-        return a - guest_div(a, b) * b
     try:
         return a % b
     except TypeError:

@@ -245,7 +245,9 @@ class TestOptimizations:
               return s;
             }
         '''
-        j = load(src)
+        # Pinned off: a trace tier armed by the environment would speed
+        # up the interpreted baseline this compares against.
+        j = load(src, options=CompileOptions(trace_tier=False))
         n = 20000
         t0 = time.perf_counter()
         expected = j.vm.call("Main", "work", [n])

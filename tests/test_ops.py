@@ -5,6 +5,8 @@ helpers, so they define the observable semantics deoptimization must
 preserve.
 """
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,34 @@ class TestDivMod:
         with pytest.raises(GuestArithmeticError):
             ops.guest_mod(1, 0)
 
+    def test_div_mod_match_a_truncating_reference(self):
+        """The int path agrees with an independent trunc-toward-zero
+        rule; bools and floats keep true division and Python's ``%``;
+        zero divisors still raise."""
+        def ref_div(a, b):
+            if type(a) is int and type(b) is int:
+                return math.trunc(a / b)      # exact for these magnitudes
+            return a / b
+
+        def ref_mod(a, b):
+            if type(a) is int and type(b) is int:
+                return a - ref_div(a, b) * b
+            return a % b
+
+        ints = range(-60, 61)
+        others = [True, False, 2.5, -3.0, 0.5]
+        for a in list(ints) + others:
+            for b in [b for b in ints if b] + [True, 2.5, -0.5]:
+                for helper, ref in ((ops.guest_div, ref_div),
+                                    (ops.guest_mod, ref_mod)):
+                    got, want = helper(a, b), ref(a, b)
+                    assert got == want and type(got) is type(want), \
+                        (helper.__name__, a, b, got, want)
+            for zero in (0, False, 0.0):
+                for helper in (ops.guest_div, ops.guest_mod):
+                    with pytest.raises(GuestArithmeticError):
+                        helper(a, zero)
+
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_div_mod_identity(self, a, b):
         """Java invariant: a == (a / b) * b + (a % b)."""
@@ -77,7 +107,6 @@ class TestDivMod:
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_trunc_div_matches_c(self, a, b):
-        import math
         assert ops.guest_div(a, b) == math.trunc(a / b) or abs(a) > 2**52
 
 

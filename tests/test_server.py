@@ -418,6 +418,31 @@ class TestAttachedServer:
         finally:
             server.close()
 
+    def test_codecache_stats_count_each_tenants_own_lookups(self, tmp_path):
+        """A tenant's ``stats()["codecache"]`` counts its own lookups
+        and stores; the shared store's fleet-wide counters stay under
+        ``stats()["server"]["store"]``."""
+        server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
+        try:
+            cold, warm = make_jit(server), make_jit(server)
+            assert cold.compile_function("Main", "work")(10) \
+                == EXPECTED_WORK_10
+            assert warm.compile_function("Main", "work")(10) \
+                == EXPECTED_WORK_10
+            assert [j.telemetry.metrics.get("compiles")
+                    for j in (cold, warm)] == [1, 0]
+            views = [j.stats()["codecache"] for j in (cold, warm)]
+            assert [(v["hits"], v["misses"], v["stores"])
+                    for v in views] == [(0, 1, 1), (1, 0, 0)]
+            assert all(v["shared"] for v in views)
+            store = warm.stats()["server"]["store"]
+            assert (store["hits"], store["misses"], store["stores"]) \
+                == (1, 1, 1)
+            for j in (cold, warm):
+                j.close()
+        finally:
+            server.close()
+
     def test_async_compiler_prefers_live_server(self, tmp_path):
         server = CompileServer(cache_dir=tmp_path / "cc", workers=0)
         j = Lancet(options=CompileOptions(compile_workers=1))
