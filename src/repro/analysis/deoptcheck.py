@@ -39,7 +39,7 @@ from repro.lms.ir import Deopt, OsrCompile
 from repro.lms.rep import Sym
 
 #: Loop-header / merge-block parameter names as staging and the trace
-#: recorder mint them (``p<block>_<slot>``).
+#: manager mint them (``p<block>_<slot>``).
 _HEADER_PARAM = re.compile(r"^p\d+_\d+$")
 
 

@@ -22,6 +22,7 @@ Three layers of facts, consumed by the optimization passes in
 from __future__ import annotations
 
 from repro.bytecode.opcodes import Op
+from repro.interp.handlers import OPSPECS
 from repro.lms.ir import Effect
 from repro.lms.rep import ConstRep, StaticRep, Sym
 
@@ -214,16 +215,19 @@ class EffectSummary:
         return "EffectSummary(%s)" % ", ".join(tags or ["pure"])
 
 
-_WRITE_OPS = (Op.PUTFIELD, Op.ASTORE)
-_READ_OPS = (Op.GETFIELD, Op.ALOAD, Op.ALEN)
-_ALLOC_BC = (Op.NEW, Op.NEW_ARRAY, Op.ARRAY_LIT)
+def _table_ops(effect):
+    return frozenset(op for op, spec in OPSPECS.items()
+                     if spec.effect is effect)
+
+
+# Bytecode effects come from the opcode table. ALEN is PURE there: arrays
+# are fixed-length, and no op resizes one (see ``clobbers``).
+_WRITE_OPS = _table_ops(Effect.WRITE)
+_READ_OPS = _table_ops(Effect.READ)
+_ALLOC_BC = _table_ops(Effect.ALLOC) | {Op.NEW, Op.ARRAY_LIT}
 _CALL_BC = (Op.INVOKE, Op.INVOKE_STATIC)
 _THROW_BC = (Op.THROW, Op.DIV, Op.MOD, Op.ADD, Op.SUB, Op.MUL, Op.NEG,
-             Op.LT, Op.LE, Op.GT, Op.GE)
-
-# Memoized per method object; keyed by identity (the method is pinned in
-# the value so ids cannot be recycled while cached).
-_SUMMARY_CACHE = {}
+             Op.LT, Op.LE, Op.GT, Op.GE, Op.ALEN)
 
 
 def method_effect_summary(method):
@@ -231,9 +235,9 @@ def method_effect_summary(method):
     bytecode (no recursion into callees: any INVOKE makes the summary
     opaque). Memoized on the method object, the same identity the unit
     cache keys compilations on."""
-    cached = _SUMMARY_CACHE.get(id(method))
-    if cached is not None and cached[0] is method:
-        return cached[1]
+    cached = getattr(method, "_effect_summary", None)
+    if cached is not None:
+        return cached
     summary = EffectSummary()
     for ins in method.code:
         op = ins.op
@@ -249,7 +253,7 @@ def method_effect_summary(method):
             summary.may_throw = True
         elif op in _THROW_BC:
             summary.may_throw = True
-    _SUMMARY_CACHE[id(method)] = (method, summary)
+    method._effect_summary = summary
     return summary
 
 

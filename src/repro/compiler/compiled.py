@@ -126,7 +126,7 @@ class CompiledFunction:
         if trace_owner is not None:
             # Trace side exit: count it, and possibly arm bridge
             # recording *before* we resume interpreting, so the recorder
-            # shadows exactly the execution the deopt is about to run.
+            # logs exactly the execution the deopt is about to run.
             trace_owner.on_exit(deopt.meta_id)
         leaf = reconstruct_frames(meta, deopt.lives)
         return self.vm.run_frames(leaf)

@@ -32,6 +32,12 @@ allocations):
 JIT macros (section 2.3) intercept calls before native/guest dispatch and
 may return staged values or directives (inline-this, guard, slowpath,
 fastpath, return) — see :mod:`repro.macros.api`.
+
+The same machine stages Tier T's traces (:meth:`StagedInterpreter.
+stage_trace`): the trace recorder logs only the concrete outcomes staging
+cannot know — branch conditions and receiver classes — and staging
+follows that one path, guarding where it speculates, without splitting at
+joins.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ from repro.runtime.objects import Obj
 _END = "end"
 _CONTINUE = "continue"
 
+#: Frames a trace's inline chain may hold; deeper calls stay residual.
+TRACE_INLINE_FRAMES = 8
+
 # Fixpoint limits: staging passes per unit before giving up, and blocks
 # one pass may stage; exceeding either fails the compile.
 MAX_PASSES = 60
@@ -75,6 +84,34 @@ _DIRECTIVE_SCOPES = {
     "checkNoAlloc": {"noalloc": True},
     "checkNoTaint": {"checktaint": True},
 }
+
+
+class TraceAbort(CompilationError):
+    """A trace cannot be recorded or staged; the message says why."""
+
+
+def trace_inlines(frames, method):
+    """Whether a trace inlines a call to ``method`` from the last of
+    ``frames`` (root to leaf, interpreter or abstract frames): below the
+    frame cap and not recursive. The recorder follows exactly the calls
+    that staging inlines, so both ask this."""
+    return len(frames) < TRACE_INLINE_FRAMES \
+        and all(f.method is not method for f in frames)
+
+
+class TracePath:
+    """A recorded path, read in order while a trace stages: one
+    ``(depth, method, bci, outcome)`` entry per ``JIF_*`` (the truth of
+    its condition) and per ``INVOKE`` (the receiver's class, or None for
+    a non-object) that the recorded frames ran."""
+
+    __slots__ = ("log", "header_bci", "pos", "end")
+
+    def __init__(self, log, header_bci):
+        self.log = log
+        self.header_bci = header_bci
+        self.pos = 0
+        self.end = None         # the root frame's locals at the header
 
 
 class AbstractFrame:
@@ -256,6 +293,7 @@ class StagedInterpreter:
         self._taint_branch_sinks = []
         self._noalloc_sites = []
         self._stmt_budget = 0
+        self._trace = None      # the TracePath being staged, if any
 
     # ------------------------------------------------------------------
     # Driver
@@ -267,27 +305,7 @@ class StagedInterpreter:
         entry_bid = None
         entry_assigns = []
         for pass_num in range(MAX_PASSES):
-            self.ctx = StagingContext(statics=self.statics)
-            self._pass_changed = False
-            self._reached_count = {}
-            self._enqueued = set()
-            self._generated = set()
-            self._single_entries = {}
-            self._pass_versions = {}
-            self._worklist = deque()
-            self._taint_branch_sinks = []
-            self._noalloc_sites = []
-            self._stmt_budget = self.options.max_stmts
-            self.stable_deps = []
-            self._fresh_arrays = set()
-            self.pass_count = pass_num + 1
-            self.inline_count = 0
-            self.residual_count = 0
-            self.guard_count = 0
-            self.deopt_site_count = 0
-            self.unroll_clone_count = 0
-            self.macro_count = 0
-
+            self._begin_pass(pass_num)
             entry_state = build_entry_state()
             # Seed abstract facts for the entry parameter syms.
             prologue = self.ctx.new_block(self._bid_for_prologue())
@@ -330,6 +348,48 @@ class StagedInterpreter:
             taint_branch_sinks=self._taint_branch_sinks,
             noalloc_sites=self._noalloc_sites,
         )
+
+    def _begin_pass(self, pass_num, prefix=""):
+        self.ctx = StagingContext(statics=self.statics, prefix=prefix)
+        self._pass_changed = False
+        self._reached_count = {}
+        self._enqueued = set()
+        self._generated = set()
+        self._single_entries = {}
+        self._pass_versions = {}
+        self._worklist = deque()
+        self._taint_branch_sinks = []
+        self._noalloc_sites = []
+        self._stmt_budget = self.options.max_stmts
+        self.stable_deps = []
+        self._fresh_arrays = set()
+        self.pass_count = pass_num + 1
+        self.inline_count = 0
+        self.residual_count = 0
+        self.guard_count = 0
+        self.deopt_site_count = 0
+        self.unroll_clone_count = 0
+        self.macro_count = 0
+
+    def stage_trace(self, build_entry_state, log, header_bci, prefix):
+        """Stage one recorded path (a loop trace or a bridge; ``log`` as
+        in :class:`TracePath`) into a single block whose syms start with
+        ``prefix``. Returns ``(block, end)``: the block ends in ``Return``
+        if the root frame returned, else ``end`` holds the root frame's
+        locals where it reached ``header_bci`` again."""
+        for pass_num in range(MAX_PASSES):
+            self._begin_pass(pass_num, prefix)
+            path = self._trace = TracePath(log, header_bci)
+            self._generate_block(0, build_entry_state(), ())
+            if not self._pass_changed:
+                break
+        else:
+            raise CompilationError(
+                "trace staging did not converge after %d passes"
+                % MAX_PASSES)
+        if any(entry[0] == 0 for entry in log[path.pos:]):
+            raise TraceAbort("log entries left past the end of the path")
+        return self.ctx.blocks[0], path.end
 
     def _tel_record(self, kind, /, **data):
         tel = self.telemetry
@@ -420,6 +480,10 @@ class StagedInterpreter:
         merged = self.emit_flags(state)
         if flags:
             merged.update(flags)
+        if effect is Effect.GUARD and self._trace is not None:
+            # Side exits are Tier T's own mechanism, which every trace
+            # has: they are not deopt points of the demanded region.
+            merged.pop("noalloc", None)
         # checkNoAlloc violations are found by the post-optimization IR
         # pass (repro.analysis.alloc), not at emit time: a statement DCE
         # removes never reaches the generated code.
@@ -622,6 +686,45 @@ class StagedInterpreter:
         return self.emit(state, op, (cond_rep, meta_id) + tuple(lives),
                          effect=Effect.GUARD)
 
+    def resume_state(self, meta, lives):
+        """The state a deopt through ``meta`` resumes, over staged values:
+        the inverse of :meth:`snapshot`. ``live`` slots take ``lives``
+        (the guard's arguments), constants and statics become reps, and
+        virtual objects become heap entries again."""
+        state = MachineState(None)
+        virtuals = {}
+
+        def rep(template):
+            kind, value = template
+            if kind == "live":
+                return lives[value]
+            if kind == "const":
+                return ConstRep(value)
+            if kind == "static":
+                return self.ctx.lift_static(value)
+            sym = virtuals.get(id(value))
+            if sym is None:
+                if isinstance(value, VirtualArray):
+                    entry = HeapEntry("arr", elems=[])
+                    sym = virtuals[id(value)] = self._virtual(state, entry)
+                    entry.elems = [rep(t) for t in value.elems]
+                else:
+                    entry = HeapEntry("obj", cls=value.cls)
+                    sym = virtuals[id(value)] = self._virtual(state, entry)
+                    entry.fields = {
+                        name: rep(value.fields.get(name, ("const", None)))
+                        for name in value.cls.all_fields}
+            return sym
+
+        for ft in meta.frames:
+            frame = AbstractFrame(ft.method, parent=state.frame)
+            frame.bci = ft.bci
+            frame.locals[:len(ft.locals_t)] = [rep(t) for t in ft.locals_t]
+            for t in ft.stack_t:
+                frame.push(rep(t))
+            state.frame = frame
+        return state
+
     def make_continuation(self, state):
         """Reify the current continuation as a runtime-callable closure
         (``shiftR``): invoking it with a value resumes the interpreter at
@@ -629,6 +732,74 @@ class StagedInterpreter:
         meta_id, lives = self.snapshot(state, kind="cont", reason="shiftR")
         return self.emit(state, "make_cont", (meta_id,) + tuple(lives),
                          effect=Effect.ALLOC, absval=UNKNOWN)
+
+    # ------------------------------------------------------------------
+    # Staging a recorded trace
+    # ------------------------------------------------------------------
+
+    def _logged(self, state):
+        """The outcome the recording logged for the instruction being
+        staged. Entries deeper than its frame belong to a call staging
+        kept residual and are skipped; any other mismatch means staging
+        left the recorded path."""
+        path = self._trace
+        frame = state.frame
+        depth = len(frame.chain()) - 1
+        log = path.log
+        i = path.pos
+        while i < len(log) and log[i][0] > depth:
+            i += 1
+        if i == len(log) or log[i][:3] != (depth, frame.method,
+                                           frame.bci - 1):
+            raise TraceAbort("log desync at %s@%d" % (
+                frame.method.qualified_name, frame.bci - 1))
+        path.pos = i + 1
+        return log[i][3]
+
+    def _trace_guard(self, state, cond, expect, stack, reason):
+        """Guard that ``cond`` is truthy (``expect``) or falsy; on failure
+        the interpreter resumes at the instruction being staged with the
+        operands ``stack`` pushed back, and executes it itself."""
+        frame = state.frame
+        frame.bci -= 1
+        for rep in stack[:-1]:
+            frame.push(rep)
+        self.emit_guard(state, cond, stack[-1], expect=expect, reason=reason)
+        frame.pop_n(len(stack) - 1)
+        frame.bci += 1
+
+    def _trace_receiver(self, state, recv, name, args, cls):
+        """The receiver class an ``INVOKE`` in a trace stages with: the
+        proven ``cls``, else the logged class behind a ``class_is`` guard.
+        A call that stays residual dispatches at run time and needs no
+        guard."""
+        logged = self._logged(state)
+        if cls is not None:
+            if logged is not cls:
+                raise TraceAbort("receiver class disagrees with the log")
+            return cls
+        if logged is None:
+            return None
+        method = logged.lookup_method(name)
+        if method is not None and not self._inlines(state, method)[0]:
+            return None
+        cond = self.emit(state, "class_is", (recv, logged.name))
+        self._trace_guard(state, cond, True, (recv, *args),
+                          "receiver class")
+        if isinstance(recv, Sym):
+            self.ctx.abs[recv.name] = Unknown(ty="obj:%s" % logged.name,
+                                              nonnull=True)
+        return logged
+
+    def _close_trace(self, state):
+        """The path is back at the loop header. Partial objects still
+        live there materialize, as on an edge into a merge block."""
+        frame = state.frame
+        if frame.stack_reps():
+            raise TraceAbort("non-empty stack at loop header")
+        self._apply_liveness(state)
+        self._materialize(state)
+        self._trace.end = frame.locals[:frame.method.num_locals]
 
     # ------------------------------------------------------------------
     # Reaching program points (merging / widening / unrolling)
@@ -761,10 +932,7 @@ class StagedInterpreter:
         """Merge ``state`` into a merge-mode block's entry lattice and
         compute this predecessor's phi assignments."""
         # Partials cannot cross a merge: materialize in the predecessor.
-        for name in list(state.heap):
-            entry = state.heap[name]
-            if not entry.materialized:
-                self.escape(state, Sym(name))
+        self._materialize(state)
         slots = self._flatten_slots(state)
         if info.lattice is None:
             info.lattice = [("bot",)] * len(slots)
@@ -788,6 +956,12 @@ class StagedInterpreter:
         if info.bid not in self._enqueued and info.bid not in self._generated:
             self._enqueue_merge(info)
         return info.bid, assigns
+
+    def _materialize(self, state):
+        """Escape every allocation ``state`` still scalar-replaces."""
+        for name in list(state.heap):
+            if not state.heap[name].materialized:
+                self.escape(state, Sym(name))
 
     def _merge_slot(self, entry, rep, state):
         av = self.eval_abs(state, rep)
@@ -856,9 +1030,11 @@ class StagedInterpreter:
         self._exec(state, block)
 
     def _goto(self, state, block, target_bci):
-        """Transfer within the current method; splits at join points."""
+        """Transfer within the current method; splits at join points,
+        except in a trace, which stays one block."""
         state.frame.bci = target_bci
-        if target_bci in join_bcis(state.frame.method):
+        if self._trace is None \
+                and target_bci in join_bcis(state.frame.method):
             tbid, assigns = self.reach(state)
             block.terminator = Jump(tbid, assigns)
             return _END
@@ -867,10 +1043,17 @@ class StagedInterpreter:
     def _exec(self, state, block):
         """Symbolically execute from ``state`` until a terminator."""
         steps = 0
+        trace = self._trace
         while True:
             frame = state.frame
+            if trace is not None:
+                # A trace ends where its root frame is back at the header.
+                if steps > 0 and frame.bci == trace.header_bci \
+                        and frame.parent is None:
+                    self._close_trace(state)
+                    return
             # Split when falling into a join point (but not on block entry).
-            if steps > 0 and frame.bci in join_bcis(frame.method):
+            elif steps > 0 and frame.bci in join_bcis(frame.method):
                 tbid, assigns = self.reach(state)
                 block.terminator = Jump(tbid, assigns)
                 return
@@ -903,9 +1086,20 @@ class StagedInterpreter:
                     return
             elif op is Op.JIF_TRUE or op is Op.JIF_FALSE:
                 cond = pop()
-                av = self.eval_abs(state, cond)
-                if av.is_static_value:
+                static = self.eval_abs(state, cond).is_static_value
+                if static:
                     value = bool(self.static_value(state, cond))
+                if trace is not None:
+                    # A recorded path: resume at the branch on a miss.
+                    logged = self._logged(state)
+                    if not static:
+                        self._trace_guard(state, cond, logged, (cond,),
+                                          "branch")
+                    elif value is not logged:
+                        raise TraceAbort("folded branch disagrees with "
+                                         "the log")
+                    value = logged
+                if trace is not None or static:
                     taken = value if op is Op.JIF_TRUE else not value
                     if taken:
                         if self._goto(state, block, ins.arg) is _END:
@@ -1069,13 +1263,18 @@ class StagedInterpreter:
                     policy = updates["inline"]
         return policy, callee_updates
 
-    def _is_recursive(self, state, method):
-        f = state.frame
-        while f is not None:
-            if f.method is method:
-                return True
-            f = f.parent
-        return False
+    def _inlines(self, state, method):
+        """``(inline?, policy, callee scope updates)`` for a call to
+        ``method``. A trace inlines by :func:`trace_inlines`, the rule
+        its recorder follows."""
+        policy, updates = self._call_policy(state, method)
+        chain = state.frame.chain()
+        if self._trace is not None:
+            inline = trace_inlines(chain, method)
+        else:
+            inline = policy == "always" or (policy == "nonrec" and all(
+                f.method is not method for f in chain))
+        return inline, policy, updates
 
     def _invoke_virtual(self, state, block, recv, name, args):
         av = self.eval_abs(state, recv)
@@ -1084,6 +1283,8 @@ class StagedInterpreter:
             cls = av.obj.cls
         elif isinstance(av, Partial):
             cls = av.cls
+        if self._trace is not None:
+            cls = self._trace_receiver(state, recv, name, args, cls)
 
         if cls is not None:
             macro = self.macros.lookup_virtual(cls, name)
@@ -1103,9 +1304,8 @@ class StagedInterpreter:
                     state.frame.push(ConstRep(None))
                     return _CONTINUE
                 raise CompilationError(str(exc))
-            policy, updates = self._call_policy(state, method)
-            if policy == "always" or (policy == "nonrec"
-                                      and not self._is_recursive(state, method)):
+            inline, policy, updates = self._inlines(state, method)
+            if inline:
                 self.inline_count += 1
                 self._tel_record("inline.decision", action="inline",
                                  callee=method.qualified_name, policy=policy,
@@ -1160,9 +1360,8 @@ class StagedInterpreter:
             method = self.linker.resolve_static(cls_name, name)
         except LinkError as exc:
             raise CompilationError(str(exc))
-        policy, updates = self._call_policy(state, method)
-        if policy == "always" or (policy == "nonrec"
-                                  and not self._is_recursive(state, method)):
+        inline, policy, updates = self._inlines(state, method)
+        if inline:
             self.inline_count += 1
             self._tel_record("inline.decision", action="inline",
                              callee=method.qualified_name, policy=policy,

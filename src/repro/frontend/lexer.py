@@ -1,6 +1,8 @@
-"""MiniJ lexer."""
+"""MiniJ lexer: one regular expression scans the source."""
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import MiniJSyntaxError
 
@@ -10,8 +12,22 @@ KEYWORDS = {
     "is",
 }
 
-TWO_CHAR = {"==", "!=", "<=", ">=", "&&", "||", "=>"}
-ONE_CHAR = set("+-*/%<>=!(){}[],.;:")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
+
+#: One token after optional blanks; alternatives in priority order.
+#: ``bad`` matches any character no other alternative does (an
+#: unterminated comment or string among them), so no input is skipped.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<end> \Z )
+  | (?P<nl> \n )
+  | (?P<op> ==|!=|<=|>=|&&|\|\||=> | /(?![/*]) | [-+*%<>=!(){}\[\],.;:] )
+  | (?P<name> [^\W\d][\w$]* )
+  | (?P<float> [0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+) )
+  | (?P<int> [0-9]+ )
+  | (?P<comment> //[^\n]* | /\*.*?\*/ )
+  | (?P<str> "(?:[^"\\\n]|\\.)*" )
+  | (?P<bad> . )
+)""", re.VERBOSE | re.DOTALL)
 
 
 class Token:
@@ -28,117 +44,75 @@ class Token:
 
 
 def tokenize(source):
-    """Tokenize MiniJ source; returns a list ending with an EOF token."""
+    """Tokenize MiniJ source; returns a list ending with an EOF token.
+    Lines and columns count from 1; a column counts characters."""
     tokens = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def err(msg):
-        raise MiniJSyntaxError(msg, line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    line_start = 0          # source index where the current line starts
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "end":
+            break
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        text = m.group(kind)
+        start = m.start(kind)
+        col = start - line_start + 1
+        value = text
+        if kind == "name":
+            if not (text[0].isalpha() or text[0] == "_"):
+                _fail(source, start, line, col)
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "int":
+            value = int(text)
+        elif kind == "float":
+            value = float(text)
+        elif kind == "str":
+            value = _unescape(text, line, col)
+        elif kind == "comment":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                err("unterminated block comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    err("unterminated string")
-                ch = source[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        err("bad escape at end of input")
-                    esc = source[i + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"',
-                                "\\": "\\", "r": "\r"}.get(esc))
-                    if buf[-1] is None:
-                        err("unknown escape \\%s" % esc)
-                    i += 2
-                    col += 2
-                    continue
-                if ch == "\n":
-                    err("newline in string literal")
-                buf.append(ch)
-                i += 1
-                col += 1
-            tokens.append(Token("str", "".join(buf), start_line, start_col))
-            continue
-        if c.isdigit():
-            start = i
-            start_col = col
-            while i < n and source[i].isdigit():
-                i += 1
-            is_float = False
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            text = source[start:i]
-            col += i - start
-            tokens.append(Token("float" if is_float else "int",
-                                float(text) if is_float else int(text),
-                                line, start_col))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] in "_$"):
-                i += 1
-            word = source[start:i]
-            col += i - start
-            kind = "kw" if word in KEYWORDS else "name"
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        two = source[i:i + 2]
-        if two in TWO_CHAR:
-            tokens.append(Token("op", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in ONE_CHAR:
-            tokens.append(Token("op", c, line, col))
-            i += 1
-            col += 1
-            continue
-        err("unexpected character %r" % c)
-
-    tokens.append(Token("eof", None, line, col))
+        elif kind == "bad":
+            _fail(source, start, line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("eof", None, line, len(source) - line_start + 1))
     return tokens
+
+
+def _unescape(text, line, col):
+    """The value of string literal ``text`` (quotes included), which
+    starts at ``line``:``col``."""
+    def escape(m):
+        value = _ESCAPES.get(m.group(1))
+        if value is None:
+            raise MiniJSyntaxError("unknown escape \\%s" % m.group(1), line,
+                                   col + 1 + m.start())
+        return value
+
+    return re.sub(r"\\(.)", escape, text[1:-1], flags=re.DOTALL)
+
+
+def _fail(source, start, line, col):
+    """Raise the syntax error for a character at ``start`` that starts
+    no token."""
+    if source.startswith("/*", start):
+        raise MiniJSyntaxError("unterminated block comment", line, col)
+    if source[start] != '"':
+        raise MiniJSyntaxError("unexpected character %r" % source[start],
+                               line, col)
+    # The longest string prefix ends at a newline, a trailing backslash
+    # or the end of the input; an unknown escape before it comes first.
+    end = re.compile(r'"(?:[^"\\\n]|\\.)*', re.DOTALL).match(
+        source, start).end()
+    _unescape(source[start:end] + '"', line, col)
+    col += end - start
+    if end == len(source):
+        raise MiniJSyntaxError("unterminated string", line, col)
+    if source[end] == "\n":
+        raise MiniJSyntaxError("newline in string literal", line, col)
+    raise MiniJSyntaxError("bad escape at end of input", line, col)

@@ -6,10 +6,10 @@ definition of the semantics, four executions of it: the interpreter's
 dispatch loop indexes :data:`DISPATCH`; the Druid-style baseline
 (:mod:`repro.baseline.templates`) template-compiles each :data:`OPSPECS`
 entry to CPython bytecode calling the *same* :mod:`repro.runtime.ops`
-helpers; the staged interpreter and the trace recorder run the
-:data:`STACK_OPS` handlers over frames of staged values, fold a pure
-:data:`OPSPECS` op on constant operands through its helper, and
-otherwise emit its declared IR op and effect. That is the property the
+helpers; the staged interpreter (which also stages Tier T's traces)
+runs the :data:`STACK_OPS` handlers over frames of staged values, folds
+a pure :data:`OPSPECS` op on constant operands through its helper, and
+otherwise emits its declared IR op and effect. That is the property the
 paper's tier ladder (and our OSR/deopt machinery) relies on.
 
 Handler contract::
@@ -95,8 +95,8 @@ OPSPECS = {
         OpSpec(Op.PUTFIELD, ops.guest_setfield, imm=True,
                effect=Effect.WRITE),
         OpSpec(Op.INSTANCEOF, ops.guest_instanceof, imm=True),
-        # A terminator in staging and an abort in recording: the one
-        # table opcode each engine handles by its own case.
+        # A terminator in staging: the one table opcode the staged
+        # interpreter handles by its own case.
         OpSpec(Op.THROW, ops.guest_throw, effect=Effect.IO),
     ]
 }

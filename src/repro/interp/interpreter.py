@@ -153,7 +153,7 @@ class Interpreter:
                 # can peek concrete operands still on the stack.
                 rec = self.trace_recorder
                 if rec is not None:
-                    rec.record(self, frame, ins, bci)
+                    rec.record(frame, ins, bci)
 
             handler = dispatch[op]
             if handler is None:  # pragma: no cover - verifier precludes this

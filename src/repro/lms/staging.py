@@ -23,8 +23,11 @@ _CSE_OPS = frozenset({
 class StagingContext:
     """Mutable state of one compilation pass."""
 
-    def __init__(self, statics=None):
+    def __init__(self, statics=None, prefix=""):
         self._sym_counter = 0
+        # Prepended to every sym name, so IR staged by separate passes
+        # (a trace and the bridges stitched into it) never collides.
+        self.prefix = prefix
         self.blocks = {}
         self.current_block = None
         self.abs = {}             # sym name -> AbsVal
@@ -39,7 +42,7 @@ class StagingContext:
 
     def fresh_sym(self, prefix="s"):
         self._sym_counter += 1
-        return Sym("%s%d" % (prefix, self._sym_counter))
+        return Sym("%s%s%d" % (self.prefix, prefix, self._sym_counter))
 
     # -- blocks --------------------------------------------------------------------
 

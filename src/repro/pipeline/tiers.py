@@ -64,11 +64,13 @@ def tier_options(base, tier):
         if tier == TIER2:
             derived = dataclasses.replace(base, tier=TIER2)
         elif tier == TIER_T:
-            # Tier T compiles recorded traces: the recorder produces
-            # post-staging IR directly, and the PassManager maps unknown
-            # tiers to the full Tier-2 pass list, so the trace gets the
-            # whole optimizing pipeline (GVN/LICM/range/guards) for free.
-            derived = dataclasses.replace(base, tier=TIER_T)
+            # Tier T compiles recorded traces, staged along the recorded
+            # path; the PassManager maps unknown tiers to the full Tier-2
+            # pass list, so a trace gets the whole optimizing pipeline
+            # (GVN/LICM/range/guards) for free. A trace bakes in no
+            # @stable value: it has no invalidation to recompile it.
+            derived = dataclasses.replace(base, tier=TIER_T,
+                                          speculate_stable=False)
         else:
             derived = dataclasses.replace(
                 base, tier=TIER1, inline_policy="never",
@@ -373,7 +375,7 @@ class TierController:
                 return cont
             if traces.recording is not None:
                 # Method OSR mid-recording would swap the frames the
-                # recorder is shadowing out from under it: hold off.
+                # recorder is following out from under it: hold off.
                 return None
         owner = self._units.get(frame.method.qualified_name)
         if (owner is None or owner.blacklisted

@@ -2,35 +2,31 @@
 
 The method tiers (0/1/2) compile whole methods; this module adds a
 PyPy-style *trace* tier following the Izawa et al. amalgamation papers
-(see PAPERS.md): when a loop back-edge gets hot, the interpreter's
+(see PAPERS.md). When a loop back-edge gets hot, the interpreter's
 dispatch loop flips into *recording mode* (the ``can_enter_jit`` /
-``jit_merge_point`` pair collapses to one hook at the back-edge), and one
-concrete iteration is recorded as a linear trace — inlining straight
-through guest calls, with an explicit guard at every point where the
-recorded path speculated (branch directions, receiver classes).
+``jit_merge_point`` pair collapses to one hook at the back-edge) for one
+concrete iteration. The recording keeps only what must be observed
+concretely: each branch condition's truth and each virtual call's
+receiver class. The staged interpreter — the engine that compiles
+methods — then stages that one path (:meth:`StagedInterpreter.
+stage_trace`), inlining through guest calls and guarding wherever it
+follows the log instead of a proof.
 
-The recorded trace is ordinary staged IR: a two-block CFG (prologue +
-loop body whose back-edge jumps to itself) with block parameters for the
-loop-carried locals and ``DeoptMeta`` snapshots at every guard. It then
-flows through the very same machinery as a method unit — the PassManager
-(so GVN/LICM/range-guard-pruning run on traces for free), the Python
-backend, the unit cache, the compile server, and the persistent code
-cache. A guard failure raises the ordinary ``DeoptException``; the
-wrapper rebuilds interpreter frames *rooted at the loop method* and
-resumes, so a trace exit completes the remaining method execution
-exactly like any other deopt.
+The result is ordinary staged IR: a two-block CFG (prologue + loop body
+whose back-edge jumps to itself) with ``DeoptMeta`` snapshots at every
+guard. It flows through the same PassManager, Python backend, unit cache,
+compile server and persistent code cache as a method unit. A guard
+failure is an ordinary deopt that rebuilds interpreter frames *rooted at
+the loop method*, so a trace exit completes the method like any deopt.
 
-Side exits are counted per guard. A hot exit triggers *bridge
-recording*: the interpreter resumes from the deopt as usual, but the
-recorder shadows it from the failed guard's snapshot until execution
-either reaches the loop header again (the bridge re-enters the loop) or
-returns from the loop method (the bridge ends in ``Return``). The bridge
-is then *stitched* into the trace CFG — the guard becomes a ``Branch``
-whose off-side is the bridge block — and the whole unit is recompiled
-through the pipeline. On megamorphic call sites this yields a chain of
-class-guard bridges: an emergent polymorphic inline cache. Exits that
-stay hot after the exit budget is spent blacklist the trace back to the
-interpreter/method ladder.
+A hot side exit triggers *bridge recording*: the interpreter resumes from
+the deopt while a recording logs its path until it reaches the loop
+header again or returns from the loop method. The bridge stages from the
+failed guard's snapshot and is *stitched* into the trace CFG — the guard
+becomes a ``Branch`` whose off-side is the bridge block — and the unit
+recompiles. On megamorphic call sites this grows a chain of class-guard
+bridges: an emergent polymorphic inline cache. Exits that stay hot past
+the exit budget blacklist the trace back to the interpreter/method ladder.
 """
 
 from __future__ import annotations
@@ -39,72 +35,28 @@ from collections import Counter
 
 from repro.analysis.liveness import live_at
 from repro.bytecode.opcodes import Op
-from repro.compiler.deopt import DeoptMeta, FrameTemplate
-from repro.compiler.stagedinterp import CompileResult
+from repro.compiler.stagedinterp import (AbstractFrame, CompileResult,
+                                         MachineState, StagedInterpreter,
+                                         TraceAbort, trace_inlines)
 from repro.errors import ReproError
-from repro.interp.handlers import DISPATCH, OPSPECS, STACK_OPS
-from repro.lms.ir import Block, Branch, Effect, Jump, Return, Stmt
-from repro.lms.rep import ConstRep, Sym
-from repro.lms.staging import _Statics
+from repro.lms.ir import Block, Branch, Jump, Return, Stmt
+from repro.lms.rep import Sym
+from repro.macros.registry import MacroRegistry
 from repro.observability import CompileReport
 from repro.pipeline.tiers import TIER_T, tier_options
-from repro.runtime.natives import lookup_native
 from repro.runtime.objects import Obj
 
 #: Per-site failed-recording budget before the site is never traced again.
 ABORT_BUDGET = 5
 
-#: Inlined guest frames a recording may hold; deeper calls stay residual.
-MAX_INLINE_FRAMES = 8
-
-#: Interpreted instructions a residual (non-inlined) call may execute
-#: before the recording gives up waiting for it to return.
-_SKIP_BUDGET = 200_000
+#: Traces stage with no macros: a trace follows the calls the
+#: interpreter made, and the interpreter expands none.
+_NO_MACROS = MacroRegistry()
 
 
 def trace_options(base):
     """The CompileOptions a trace unit compiles under (Tier T)."""
     return tier_options(base, TIER_T)
-
-
-class TraceAbort(Exception):
-    """Recording cannot continue (unsupported op, desync, too long)."""
-
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
-
-
-class _ShadowFrame:
-    """The recorder's abstract mirror of one interpreter frame: every
-    local slot and stack entry holds the Rep computing that value. It
-    speaks the interpreter's frame protocol, so the :data:`STACK_OPS`
-    handlers run on it unchanged."""
-
-    __slots__ = ("method", "bci", "locals", "stack")
-
-    def __init__(self, method):
-        self.method = method
-        self.bci = 0
-        self.locals = [ConstRep(None)] * method.num_locals
-        self.stack = []
-
-    def push(self, rep):
-        self.stack.append(rep)
-
-    def pop(self):
-        return self.stack.pop()
-
-    def peek(self):
-        return self.stack[-1]
-
-    def pop_n(self, n):
-        """Pop the top ``n`` entries; returns them bottom to top."""
-        if n > len(self.stack):
-            raise TraceAbort("stack underflow")
-        popped = self.stack[len(self.stack) - n:]
-        del self.stack[len(self.stack) - n:]
-        return popped
 
 
 class TraceRecording:
@@ -113,114 +65,40 @@ class TraceRecording:
     ``record`` is called by the interpreter dispatch loop *before* each
     instruction executes, so concrete operands (branch conditions,
     receiver objects) are still on the real operand stack to peek at.
-    The recorder steps a shadow frame chain of Reps in lockstep and
-    aborts on any divergence from the expected control path.
-
-    Value opcodes come from :data:`OPSPECS`: a pure op on constant
-    operands folds through the interpreter's helper, anything else emits
-    its IR op and effect. One rule covers guest errors: an instruction
-    whose concrete execution raises aborts the recording (traces never
-    capture error paths). The interpreter reports the error through
-    :meth:`on_error`; a constant fold that raises is the same error.
+    ``frames`` is the recorded chain: the root (loop) frame and the
+    callees a trace inlines (:func:`trace_inlines`). For its frames the
+    recording logs each ``JIF_*`` condition's truth and each ``INVOKE``
+    receiver's class, tagged with frame depth, method and bci; frames of
+    a call the trace leaves residual pass unlogged. It closes where the
+    root frame is back at the loop header (or, for a bridge, returns),
+    and aborts past ``trace_max_ops`` recorded instructions or when an
+    instruction raises a guest error: traces never capture error paths.
     """
 
-    def __init__(self, manager, mode, root_method, header_bci, shadow,
-                 expect_bci, prefix, statics):
+    def __init__(self, manager, mode, root_method, header_bci, frames):
         self.manager = manager
         self.mode = mode                  # "loop" | "bridge"
         self.root_method = root_method
         self.header_bci = header_bci
-        self.shadow = shadow              # root -> leaf
-        self.expect_bci = expect_bci
-        self.prefix = prefix              # sym prefix, unique per recording
-        self.statics = statics
-        self.stmts = []
-        self.metas = []
+        self.frames = frames              # root -> leaf; a bridge's fills in
+        self.prefix = None                # sym prefix, unique per recording
+        self.log = []
         self.ops = 0
         self.done = False
         self.live_slots = ()              # set by the manager
         self.trace = None                 # bridge mode: the LoopTrace
         self.bridge_meta_id = None        # bridge mode: the exit bridged
-        self._n = 0
-        self._skip = None    # (frame, resume bci, result rep, budget)
+        self.meta = None                  # bridge mode: its DeoptMeta
+        self.lives = ()                   # bridge mode: its guard's lives
+        self._calling = False             # the leaf frame is in a call
 
-    # -- IR emission -----------------------------------------------------------
-
-    def _fresh(self):
-        self._n += 1
-        return Sym("%s%d" % (self.prefix, self._n))
-
-    def emit(self, op, args, effect):
-        flags = None
-        if (self.manager.options.check_noalloc
-                and effect is not Effect.GUARD):
-            # The demand on a trace is an allocation-free loop body.
-            # Side-exit guards are Tier T's own mechanism — every trace
-            # has them — so they are not residual deopt points in the
-            # demanded region the way a method-compile guard is.
-            flags = {"noalloc": True}
-        stmt = Stmt(self._fresh(), op, args, effect, flags)
-        self.stmts.append(stmt)
-        return stmt.sym
-
-    def lift_static(self, obj):
-        from repro.lms.rep import StaticRep
-        return StaticRep(self.statics.index_of(obj), obj)
-
-    # -- deopt snapshots -------------------------------------------------------
-
-    def _snapshot(self, extra_stack, reason):
-        """Build a DeoptMeta for the current shadow state (resuming at the
-        leaf's ``bci`` with ``extra_stack`` re-pushed); returns
-        ``(meta_id, live reps)`` exactly like the staged interpreter's
-        snapshot, so guards render identically."""
-        lives = []
-        index = {}
-
-        def template(rep):
-            if isinstance(rep, ConstRep):
-                return ("const", rep.value)
-            idx = index.get(rep.name)
-            if idx is None:
-                idx = len(lives)
-                index[rep.name] = idx
-                lives.append(rep)
-            return ("live", idx)
-
-        frames = []
-        leaf = self.shadow[-1]
-        for sf in self.shadow:
-            live = live_at(sf.method, sf.bci)
-            locals_t = [template(sf.locals[i]) if i in live
-                        else ("const", None)
-                        for i in range(sf.method.num_locals)]
-            stack_t = [template(r) for r in sf.stack]
-            if sf is leaf:
-                stack_t += [template(r) for r in extra_stack]
-            frames.append(FrameTemplate(sf.method, sf.bci, locals_t,
-                                        stack_t))
-        self.metas.append(DeoptMeta(frames, reason=reason,
-                                    kind="interpret"))
-        return len(self.metas) - 1, lives
-
-    def emit_guard(self, cond, expect, extra_stack, reason):
-        """Guard that ``cond`` is truthy (``expect=True``) or falsy at
-        trace runtime; on failure deopt to the current shadow state."""
-        meta_id, lives = self._snapshot(extra_stack, reason)
-        op = "guard" if expect else "guard_not"
-        return self.emit(op, (cond, meta_id) + tuple(lives), Effect.GUARD)
-
-    # -- the per-instruction hook ----------------------------------------------
-
-    def record(self, vm, frame, ins, bci):
+    def record(self, frame, ins, bci):
         if self.done:
             return
         try:
-            self._step(vm, frame, ins, bci)
+            self._step(frame, ins, bci)
         except TraceAbort as abort:
-            self.manager.abort(self, abort.reason)
-        except ReproError as exc:
-            self.on_error(exc)
+            self.manager.abort(self, str(abort))
         except Exception as exc:  # defensive: never break interpretation
             self.manager.abort(self, "recorder error: %r" % exc)
 
@@ -228,213 +106,49 @@ class TraceRecording:
         """The recorded instruction raises ``exc``: give up the trace."""
         self.manager.abort(self, "guest error: %s" % exc)
 
-    def _step(self, vm, frame, ins, bci):
-        skip = self._skip
-        if skip is not None:
-            sframe, resume, rep, budget = skip
-            if frame is not sframe:
-                budget -= 1
-                if budget <= 0:
-                    raise TraceAbort("residual call ran too long")
-                self._skip = (sframe, resume, rep, budget)
+    def _step(self, frame, ins, bci):
+        frames = self.frames
+        if not frames:
+            # A bridge's first instruction: the frames its deopt resumed.
+            f = frame
+            while f is not None:
+                frames.insert(0, f)
+                f = f.parent
+        elif frame is not frames[-1]:
+            if frame in frames:                  # callees returned
+                del frames[frames.index(frame) + 1:]
+            elif not self._calling:
+                raise TraceAbort("desync at %s@%d"
+                                 % (frame.method.qualified_name, bci))
+            elif frame.parent is frames[-1] \
+                    and trace_inlines(frames, frame.method):
+                frames.append(frame)
+            else:
+                return           # inside a call the trace leaves residual
+        op = ins.op
+        depth = len(frames) - 1
+        if depth == 0:
+            if (bci == self.header_bci and self.ops) or \
+                    (op is Op.JUMP and ins.arg == self.header_bci):
+                self.manager.close_at_anchor(self)
                 return
-            if bci != resume:
-                raise TraceAbort("desync after residual call")
-            self._skip = None
-            self.shadow[-1].stack.append(rep)
-            # fall through: record this instruction normally
-
-        sf = self.shadow[-1]
-        if frame.method is not sf.method or bci != self.expect_bci:
-            raise TraceAbort("desync at %s@%d"
-                             % (frame.method.qualified_name, bci))
-        sf.bci = bci
-
-        # Arrived back at the loop header with the root frame on top:
-        # the trace (or bridge) closes into the loop.
-        if (len(self.shadow) == 1 and frame.method is self.root_method
-                and bci == self.header_bci and self.ops):
-            if sf.stack:
-                raise TraceAbort("non-empty stack at loop header")
-            self.manager.close_at_anchor(self)
-            return
+            if op is Op.RET or op is Op.RET_VAL:
+                if self.mode == "loop":
+                    raise TraceAbort("loop exited through return")
+                self.manager.close_with_return(self)
+                return
 
         self.ops += 1
         if self.ops > self.manager.options.trace_max_ops:
             raise TraceAbort("trace too long")
-
-        op = ins.op
-        push = sf.stack.append
-        pop = sf.stack.pop
-        nbci = bci + 1
-
-        if op in STACK_OPS:
-            DISPATCH[op](vm, sf, ins.arg)
-        elif op is Op.CONST:
-            push(ConstRep(ins.arg))
-        elif op is Op.THROW:
-            raise TraceAbort("guest throw")
-        elif op in OPSPECS:
-            self._value_op(sf, OPSPECS[op], ins.arg)
-        elif op is Op.JUMP:
-            target = ins.arg
-            if (len(self.shadow) == 1 and frame.method is self.root_method
-                    and target == self.header_bci):
-                if sf.stack:
-                    raise TraceAbort("non-empty stack at back-edge")
-                sf.bci = target
-                self.manager.close_at_anchor(self)
-                return
-            nbci = target      # inner loops unroll into the trace
-        elif op is Op.JIF_TRUE or op is Op.JIF_FALSE:
-            cond = pop()
-            taken = bool(frame.peek())      # the concrete condition
-            if not isinstance(cond, ConstRep):
-                # Resume at the branch itself with the condition re-pushed.
-                self.emit_guard(cond, expect=taken, extra_stack=(cond,),
-                                reason="branch")
-            if op is Op.JIF_TRUE:
-                nbci = ins.arg if taken else bci + 1
-            else:
-                nbci = bci + 1 if taken else ins.arg
-        elif op is Op.RET or op is Op.RET_VAL:
-            rep = pop() if op is Op.RET_VAL else ConstRep(None)
-            if len(self.shadow) == 1:
-                if self.mode == "bridge":
-                    self.manager.close_with_return(self, rep)
-                    return
-                raise TraceAbort("loop exited through return")
-            if sf.stack:
-                raise TraceAbort("non-empty stack at return")
-            self.shadow.pop()
-            parent = self.shadow[-1]
-            parent.stack.append(rep)
-            nbci = parent.bci
+        self._calling = op is Op.INVOKE or op is Op.INVOKE_STATIC
+        if op is Op.JIF_TRUE or op is Op.JIF_FALSE:
+            self.log.append((depth, frame.method, bci, bool(frame.peek())))
         elif op is Op.INVOKE:
-            nbci = self._invoke(vm, frame, ins, bci)
-        elif op is Op.INVOKE_STATIC:
-            nbci = self._invoke_static(vm, frame, ins, bci)
-        elif op is Op.NEW:
-            cls = vm.linker.resolve_class(ins.arg)
-            push(self.emit("new", (self.lift_static(cls),), Effect.ALLOC))
-        elif op is Op.ARRAY_LIT:
-            push(self.emit("array_lit", tuple(sf.pop_n(ins.arg)),
-                           Effect.ALLOC))
-        else:
-            raise TraceAbort("unsupported op %s" % op.name)
-
-        self.expect_bci = nbci
-
-    # -- op helpers ------------------------------------------------------------
-
-    def _value_op(self, sf, spec, imm):
-        """Record one :data:`OPSPECS` opcode. The emitted ops carry no
-        type flags: the recorder proves nothing about operand types, so
-        the shared guest-ops semantics do the work."""
-        operands = sf.pop_n(spec.pops)
-        if spec.effect is Effect.PURE \
-                and all(isinstance(r, ConstRep) for r in operands):
-            values = [r.value for r in operands]
-            if spec.imm:
-                values.append(imm)
-            rep = ConstRep(spec.helper(*values))
-        else:
-            rep = self.emit(spec.ir, spec.ir_args(operands, imm),
-                            spec.effect)
-        if spec.pushes:
-            sf.push(rep)
-
-    def _can_inline(self, method):
-        if len(self.shadow) >= MAX_INLINE_FRAMES:
-            return False
-        return all(sf.method is not method for sf in self.shadow)
-
-    def _invoke(self, vm, frame, ins, bci):
-        sf = self.shadow[-1]
-        name, argc = ins.arg
-        if len(sf.stack) < argc + 1:
-            raise TraceAbort("stack underflow at invoke")
-        receiver = frame.peek(argc)          # concrete, pre-execution
-        recv_rep = sf.stack[-1 - argc]
-
-        if isinstance(receiver, Obj):
-            method = receiver.cls.lookup_method(name)
-            residual = (method is not None
-                        and (method.is_static
-                             or not self._can_inline(method)))
-            if not residual:
-                # Speculate on the exact receiver class; the snapshot
-                # resumes at the INVOKE itself (args still on stack), so
-                # a different class re-dispatches in the interpreter.
-                if isinstance(recv_rep, ConstRep):
-                    raise TraceAbort("constant receiver")
-                cond = self.emit("class_is", (recv_rep, receiver.cls.name),
-                                 Effect.PURE)
-                self.emit_guard(cond, expect=True, extra_stack=(),
-                                reason="receiver class")
-            args = sf.pop_n(argc)
-            sf.stack.pop()                   # the receiver
-            if method is None:
-                if name == "init" and not argc:
-                    sf.stack.append(ConstRep(None))
-                    return bci + 1
-                raise TraceAbort("missing method %s" % name)
-            if residual:
-                return self._await(frame, bci, self.emit(
-                    "invoke", (name, recv_rep, *args), Effect.CALL))
-            if method.num_params != len(args):
-                raise TraceAbort("arity mismatch")
-            return self._inline(sf, bci, method, [recv_rep, *args])
-
-        if callable(receiver) and name == "apply":
-            # Host callable (e.g. a compiled closure): residualize.
-            args = sf.pop_n(argc)
-            sf.stack.pop()
-            return self._await(frame, bci, self.emit(
-                "invoke", (name, recv_rep, *args), Effect.CALL))
-
-        raise TraceAbort("invoke on %r" % type(receiver).__name__)
-
-    def _invoke_static(self, vm, frame, ins, bci):
-        sf = self.shadow[-1]
-        cls_name, name, argc = ins.arg
-        nat = lookup_native(cls_name, name)
-        if nat is not None:
-            if nat.argc != argc:
-                raise TraceAbort("native arity mismatch")
-            rep = self.emit("native", (nat, *sf.pop_n(argc)), nat.effect)
-            if nat.calls_guest:
-                # The native may interpret guest frames before producing
-                # its result: wait for control to return here.
-                return self._await(frame, bci, rep)
-            sf.stack.append(rep)
-            return bci + 1
-
-        method = vm.linker.resolve_static(cls_name, name)
-        args = sf.pop_n(argc)
-        if method.num_params != len(args):
-            raise TraceAbort("arity mismatch")
-        if self._can_inline(method):
-            return self._inline(sf, bci, method, args)
-        return self._await(frame, bci, self.emit(
-            "invoke_method", (self.lift_static(method), ConstRep(None), *args),
-            Effect.CALL))
-
-    def _inline(self, sf, bci, method, args):
-        """Step into ``method``: push its shadow frame, resuming ``sf``
-        after the call at ``bci`` on RET (or deopt)."""
-        sf.bci = bci + 1
-        callee = _ShadowFrame(method)
-        callee.locals[:len(args)] = args
-        self.shadow.append(callee)
-        return 0
-
-    def _await(self, frame, bci, rep):
-        """A residual call at ``bci``: skip the frames it interprets
-        until control returns to ``frame``, then push ``rep``."""
-        self.expect_bci = bci + 1
-        self._skip = (frame, bci + 1, rep, _SKIP_BUDGET)
-        return bci + 1
+            receiver = frame.peek(ins.arg[1])
+            self.log.append((depth, frame.method, bci,
+                             receiver.cls if isinstance(receiver, Obj)
+                             else None))
 
 
 class LoopTrace:
@@ -462,7 +176,7 @@ class LoopTrace:
     def on_exit(self, meta_id):
         """Called by ``CompiledFunction._deoptimize`` before resuming the
         interpreter, so a hot exit can arm bridge recording in time to
-        shadow the resumed execution."""
+        log the resumed execution."""
         self.manager.on_trace_exit(self, meta_id)
 
     def __repr__(self):
@@ -551,23 +265,9 @@ class TraceManager:
     # -- recording lifecycle ---------------------------------------------------
 
     def _start_recording(self, vm, frame, site):
-        method = frame.method
-        header = frame.bci
-        live = sorted(live_at(method, header))
-        shadow = _ShadowFrame(method)
-        shadow.bci = header
-        for i in live:
-            shadow.locals[i] = Sym("p1_%d" % i)
-        self._gen += 1
-        rec = TraceRecording(self, "loop", method, header, [shadow],
-                             expect_bci=header,
-                             prefix="t%d_" % self._gen, statics=_Statics())
-        rec.live_slots = tuple(live)
-        self.recording = rec
-        vm.trace_recorder = rec
-        self.telemetry.inc("trace.records")
-        self.telemetry.record("trace.record", site="%s:%d" % site,
-                              mode="loop")
+        rec = TraceRecording(self, "loop", frame.method, frame.bci, [frame])
+        rec.live_slots = tuple(sorted(live_at(frame.method, frame.bci)))
+        self._arm(rec, site)
 
     def _start_bridge(self, trace, meta_id):
         result = trace.result
@@ -575,43 +275,24 @@ class TraceManager:
         if guard is None:
             trace.bridge_failed.add(meta_id)
             return
-        lives = guard.args[2:]
-        meta = result.metas[meta_id]
-        shadow = []
-        for ft in meta.frames:
-            sf = _ShadowFrame(ft.method)
-            sf.bci = ft.bci
-            try:
-                sf.locals = [self._resolve_template(t, lives)
-                             for t in ft.locals_t]
-                sf.stack = [self._resolve_template(t, lives)
-                            for t in ft.stack_t]
-            except TraceAbort:
-                trace.bridge_failed.add(meta_id)
-                return
-            shadow.append(sf)
-        self._gen += 1
         rec = TraceRecording(self, "bridge", trace.method, trace.header_bci,
-                             shadow, expect_bci=shadow[-1].bci,
-                             prefix="t%d_" % self._gen,
-                             statics=result.statics)
+                             [])
         rec.live_slots = trace.live_slots
         rec.trace = trace
         rec.bridge_meta_id = meta_id
-        self.recording = rec
-        self.vm.trace_recorder = rec
-        self.telemetry.inc("trace.records")
-        self.telemetry.record("trace.record", site="%s:%d" % trace.site,
-                              mode="bridge", meta=meta_id)
+        rec.meta = result.metas[meta_id]
+        rec.lives = guard.args[2:]
+        self._arm(rec, trace.site, meta=meta_id)
 
-    @staticmethod
-    def _resolve_template(t, lives):
-        kind = t[0]
-        if kind == "live":
-            return lives[t[1]]
-        if kind == "const":
-            return ConstRep(t[1])
-        raise TraceAbort("unresumable %s template" % kind)
+    def _arm(self, rec, site, **data):
+        """Give ``rec`` its own sym prefix and hook it into the
+        interpreter's dispatch loop."""
+        self._gen += 1
+        rec.prefix = "t%d_" % self._gen
+        self.recording = self.vm.trace_recorder = rec
+        self.telemetry.inc("trace.records")
+        self.telemetry.record("trace.record", site="%s:%d" % site,
+                              mode=rec.mode, **data)
 
     def _detach(self, rec):
         rec.done = True
@@ -634,21 +315,57 @@ class TraceManager:
             self._blacklist.add(site)
 
     def close_at_anchor(self, rec):
-        """The recording reached the loop header with an empty stack."""
+        """The recording reached the loop header: stage it, then install
+        a loop trace or stitch a bridge."""
         self._detach(rec)
+        staged = self._stage(rec)
+        if staged is None:
+            return
         if rec.mode == "bridge":
-            self._stitch(rec, kind="loop")
+            self._stitch(rec, *staged)
         else:
-            self._install_loop(rec)
+            self._install_loop(rec, *staged)
 
-    def close_with_return(self, rec, rep):
+    def close_with_return(self, rec):
         """A bridge recording returned from the loop method."""
         self._detach(rec)
-        self._stitch(rec, kind="return", ret=rep)
+        staged = self._stage(rec)
+        if staged is not None:
+            self._stitch(rec, *staged)
 
-    # -- building and compiling the trace unit ---------------------------------
+    # -- staging, building and compiling the trace unit ------------------------
 
-    def _build_result(self, rec):
+    def _stage(self, rec):
+        """Stage the recorded path with the staged interpreter, from the
+        loop header (a loop trace) or from the exit's snapshot (a
+        bridge, which shares its trace's statics). Returns the ``(block,
+        end)`` of :meth:`StagedInterpreter.stage_trace` plus the machine,
+        or None after a counted abort when staging cannot follow the log."""
+        machine = StagedInterpreter(self.vm, _NO_MACROS, self.trace_options(),
+                                    telemetry=self.telemetry)
+        if rec.mode == "bridge":
+            machine.statics = rec.trace.result.statics
+
+            def entry():
+                return machine.resume_state(rec.meta, rec.lives)
+        else:
+            def entry():
+                frame = AbstractFrame(rec.root_method)
+                frame.bci = rec.header_bci
+                for i in rec.live_slots:
+                    frame.locals[i] = Sym("p1_%d" % i)
+                return MachineState(frame)
+        try:
+            block, end = machine.stage_trace(entry, rec.log, rec.header_bci,
+                                             rec.prefix)
+            if rec.mode == "loop" and isinstance(block.terminator, Return):
+                raise TraceAbort("loop exited through return")
+        except ReproError as exc:
+            self.abort(rec, str(exc))
+            return None
+        return block, end, machine
+
+    def _build_result(self, rec, block, end, machine):
         live = rec.live_slots
         params = ["a%d" % (k + 1) for k in range(len(live))]
         header_params = ["p1_%d" % i for i in live]
@@ -656,23 +373,24 @@ class TraceManager:
         b0.terminator = Jump(1, [(p, Sym(a))
                                  for p, a in zip(header_params, params)])
         b1 = Block(1, params=header_params)
-        b1.stmts = rec.stmts
-        b1.terminator = Jump(1, [(p, rec.shadow[0].locals[i])
+        b1.stmts = block.stmts
+        b1.terminator = Jump(1, [(p, end[i])
                                  for p, i in zip(header_params, live)])
         return CompileResult(
             blocks={0: b0, 1: b1}, entry_bid=0,
             entry_assigns=b0.terminator.phi_assigns, param_names=params,
-            metas=rec.metas, statics=rec.statics, stable_deps=[],
+            metas=machine.ctx.deopt_metas, statics=machine.statics,
+            stable_deps=[],
             warnings=[], taint_branch_sinks=[], noalloc_sites=[])
 
     def _unit_name(self, site):
         return "trace@%s:%d" % site
 
-    def _install_loop(self, rec):
+    def _install_loop(self, rec, block, end, machine):
         site = (rec.root_method.qualified_name, rec.header_bci)
         trace = LoopTrace(self, site, rec.root_method, rec.header_bci,
                           rec.live_slots)
-        trace.result = self._build_result(rec)
+        trace.result = self._build_result(rec, block, end, machine)
         self.traces[site] = trace
         name = self._unit_name(site)
 
@@ -699,20 +417,14 @@ class TraceManager:
         PassManager (full Tier-2 pass list) then the Python backend."""
         import time
 
-        from repro.pipeline.backend import CompilationUnit, get_backend
-        from repro.pipeline.passes import PassManager
-
         jit = self.jit
         opts = self.trace_options()
         tel = self.telemetry
         tel.record("compile.start", unit=name, tier=TIER_T)
         t0 = time.perf_counter()
         report = CompileReport(name=name, tier=TIER_T)
-        manager = PassManager(opts, telemetry=tel)
-        manager.run(trace.result, name, report=report)
-        unit = CompilationUnit(result=trace.result, name=name, jit=jit,
-                               recompile=None, report=report, options=opts)
-        compiled = get_backend("python").emit(unit)
+        compiled = jit._emit(trace.result, trace.result.param_names, name,
+                             None, fuse=False, report=report, options=opts)
         compiled.report = report
         compiled.tier = TIER_T
         compiled.trace_owner = trace
@@ -803,7 +515,7 @@ class TraceManager:
                 and meta_id not in trace.bridged
                 and meta_id not in trace.bridge_failed
                 and trace.exits[meta_id] >= self.options.bridge_threshold):
-            # Shadow the interpreter resume that is about to happen.
+            # Record the interpreter resume that is about to happen.
             self._start_bridge(trace, meta_id)
             return
         if trace.total_exits > self.options.trace_exit_budget:
@@ -820,7 +532,7 @@ class TraceManager:
                     return bid, stmt
         return None, None
 
-    def _stitch(self, rec, kind, ret=None):
+    def _stitch(self, rec, block, end, machine):
         """Splice a finished bridge into its trace: the bridged guard
         becomes a Branch whose off-side runs the bridge block (back into
         the loop, or out through a Return), then the whole unit goes
@@ -833,6 +545,7 @@ class TraceManager:
             trace.bridge_failed.add(meta_id)
             return
 
+        kind = "return" if isinstance(block.terminator, Return) else "loop"
         if kind == "loop":
             # The pass pipeline prunes loop-invariant header params. A
             # bridge that *writes* such a slot (e.g. the inner loop of a
@@ -847,7 +560,6 @@ class TraceManager:
             # bridge's start: a bridge recorded off an exit of an earlier
             # bridge already starts from that bridge's writes.
             from repro.analysis.deoptcheck import check_bridge_stitch
-            end = rec.shadow[0].locals
             entry = list(end)
             for k, slot in enumerate(trace.live_slots):
                 entry[slot] = Sym("a%d" % (k + 1))
@@ -866,9 +578,9 @@ class TraceManager:
                 return
 
         offset = len(result.metas)
-        result.metas.extend(rec.metas)
+        result.metas.extend(machine.ctx.deopt_metas)
         bridge_stmts = []
-        for stmt in rec.stmts:
+        for stmt in block.stmts:
             if stmt.op in ("guard", "guard_not"):
                 stmt = Stmt(stmt.sym, stmt.op,
                             (stmt.args[0], stmt.args[1] + offset)
@@ -889,10 +601,10 @@ class TraceManager:
             # params, so map by name (``p1_<slot>``), not by position.
             header_params = result.blocks[1].params
             bridge.terminator = Jump(
-                1, [(p, rec.shadow[0].locals[int(p.rsplit("_", 1)[1])])
+                1, [(p, end[int(p.rsplit("_", 1)[1])])
                     for p in header_params])
         else:
-            bridge.terminator = Return(ret)
+            bridge.terminator = block.terminator
         host.stmts = host.stmts[:idx]
         cond = guard.args[0]
         if guard.op == "guard":

@@ -1,11 +1,12 @@
 """One opcode table, every engine.
 
-The interpreter, the template baseline, the staged interpreter (tiers 1
-and 2) and the trace recorder all execute the opcode semantics of
-:data:`repro.interp.handlers.OPSPECS` / ``DISPATCH``. Each test here runs
-one tiny guest loop per opcode through every engine and checks they
-agree; the trace tier must also compile the loop without an abort, so an
-opcode case missing from the recorder fails here."""
+The interpreter, the template baseline and the staged interpreter (tiers
+1 and 2, and Tier T's traces, staged along a recorded path) all execute
+the opcode semantics of :data:`repro.interp.handlers.OPSPECS` /
+``DISPATCH``. Each test here runs one tiny guest loop per opcode through
+every engine and checks they agree; the trace tier must also compile the
+loop without an abort, so an opcode that trace staging cannot follow
+fails here."""
 
 from __future__ import annotations
 

@@ -1,12 +1,41 @@
 """MiniJ frontend: lexer, parser, compiler, lambda lifting."""
 
+import glob
+import importlib.util
+import os
+
 import pytest
 
+from repro.apps import app_source
 from repro.errors import MiniJCompileError, MiniJSyntaxError
 from repro.frontend import ast, parse
 from repro.frontend.compiler import compile_source
 from repro.frontend.lexer import tokenize
 from repro.interp import Interpreter
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The example programs, the bundled apps and the warmup benchmark's
+#: generated corpus: every token must sit where the lexer says.
+_SOURCES = (sorted(os.path.relpath(p, _ROOT) for p in
+                   glob.glob(os.path.join(_ROOT, "examples", "*.mj")))
+            + ["app:" + os.path.basename(p)[:-3] for p in sorted(glob.glob(
+                os.path.join(_ROOT, "src", "repro", "apps", "*.mj")))]
+            + ["corpus:0"])
+
+
+def _source(name):
+    if name.startswith("app:"):
+        return app_source(name[4:])
+    if name.startswith("corpus:"):
+        path = os.path.join(_ROOT, "benchmarks", "e2e", "corpus.py")
+        spec = importlib.util.spec_from_file_location("corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        return corpus.generate(int(name[7:])).source
+    with open(os.path.join(_ROOT, name)) as f:
+        return f.read()
 
 
 def run(source, fn="main", args=()):
@@ -51,6 +80,32 @@ class TestLexer:
     def test_bad_char(self):
         with pytest.raises(MiniJSyntaxError):
             tokenize("a @ b")
+
+    def test_columns_after_block_comments(self):
+        assert [(t.line, t.col) for t in tokenize("a /* c */ b")[:2]] == \
+            [(1, 1), (1, 11)]
+        assert [(t.line, t.col) for t in tokenize("a /* c\nd */ b")[:2]] \
+            == [(1, 1), (2, 6)]
+
+    def test_non_ascii_digit_is_a_syntax_error(self):
+        # str.isdigit accepts superscripts that int() rejects.
+        with pytest.raises(MiniJSyntaxError, match="unexpected character"):
+            tokenize("x = \u00b2;")
+
+    @pytest.mark.parametrize("name", _SOURCES)
+    def test_every_token_sits_at_its_position(self, name):
+        source = _source(name)
+        lines = source.split("\n")
+        tokens = tokenize(source)
+        assert tokens[-1].kind == "eof"
+        for tok in tokens[:-1]:
+            text = lines[tok.line - 1][tok.col - 1:]
+            if tok.kind == "str":
+                assert text.startswith('"'), tok
+            elif tok.kind == "float":
+                assert text[0].isdigit(), tok
+            else:
+                assert text.startswith(str(tok.value)), tok
 
 
 class TestParser:

@@ -9,10 +9,14 @@ import pytest
 from repro import CompileOptions, Lancet
 from repro.analysis.cfg import def_counts, dominates, dominators
 from repro.analysis.effects import (EffectSummary, clobbers, is_total,
-                                    may_alias)
+                                    may_alias, method_effect_summary)
 from repro.analysis.escape import escaping_names
 from repro.analysis.ranges import RangeAnalysis, range_facts
+from repro.bytecode.classfile import MethodInfo
+from repro.bytecode.instr import Instr
+from repro.bytecode.opcodes import Op
 from repro.errors import NoAllocError
+from repro.interp.handlers import OPSPECS
 from repro.lms.ir import Block, Branch, Effect, Jump, Return, Stmt
 from repro.lms.rep import ConstRep, StaticRep, Sym
 from repro.pipeline.gvn import global_value_numbering
@@ -103,6 +107,36 @@ class TestEffects:
         # fuse materializes phi moves as `id` with Effect.WRITE.
         assert not clobbers(stmt("s", "id", (Sym("v"),), Effect.WRITE),
                             ("getfield", Sym("o"), "x"))
+
+    @pytest.mark.parametrize("op", sorted(OPSPECS) + [Op.NEW, Op.ARRAY_LIT],
+                             ids=lambda op: op.name)
+    def test_bytecode_summary_follows_the_opcode_table(self, op):
+        summary = method_effect_summary(MethodInfo("m", 0, [Instr(op)]))
+        effect = OPSPECS[op].effect if op in OPSPECS else Effect.ALLOC
+        assert summary.reads == (effect is Effect.READ)
+        assert summary.writes == (effect is Effect.WRITE)
+        assert summary.allocates == (effect is Effect.ALLOC)
+        assert not summary.calls
+
+    def test_alen_is_pure_but_may_throw(self):
+        # Arrays are fixed-length, but ALEN still raises on a null or
+        # non-array operand.
+        summary = method_effect_summary(MethodInfo("m", 0, [Instr(Op.ALEN)]))
+        assert summary.is_read_only and not summary.reads
+        assert summary.may_throw
+
+    def test_summary_memo_does_not_pin_methods(self):
+        import gc
+        import weakref
+
+        jit = Lancet()
+        jit.load("def g(a) { return len(a); }")
+        method = jit.vm.linker.resolve_static("Main", "g")
+        assert method_effect_summary(method) is method_effect_summary(method)
+        ref = weakref.ref(method)
+        del jit, method
+        gc.collect()
+        assert ref() is None
 
     def test_summary_purity(self):
         assert EffectSummary().is_pure

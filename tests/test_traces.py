@@ -20,7 +20,7 @@ from tests.test_differential import PHASES, guest_program
 from repro import CompileOptions, Lancet
 from repro.errors import GuestError
 from repro.pipeline import TIER_T
-from repro.pipeline.tracing import ABORT_BUDGET
+from repro.pipeline.tracing import ABORT_BUDGET, TraceManager
 
 SUM_SRC = '''
     def f(n) {
@@ -121,6 +121,42 @@ ALLOC_SRC = '''
 '''
 
 
+# A loop-local object whose only use is an inlined call: the staged
+# trace needs neither the allocation nor a receiver-class guard.
+SCALAR_SRC = '''
+    class A {
+      var k;
+      def init() { this.k = 2; }
+      def get(x) { return x + this.k; }
+    }
+    def f(n) {
+      var acc = 0;
+      var i = 0;
+      while (i < n) {
+        var c = new A();
+        acc = acc + c.get(i);
+        i = i + 1;
+      }
+      return acc;
+    }
+'''
+
+# `one == 1` folds at staging, so the log's entry for it is checked, not
+# guarded.
+FOLDED_SRC = '''
+    def f(n) {
+      var acc = 0;
+      var i = 0;
+      while (i < n) {
+        var one = 1;
+        if (one == 1) { acc = acc + i; }
+        i = i + 1;
+      }
+      return acc;
+    }
+'''
+
+
 def trace_jit(source, **knobs):
     knobs.setdefault("trace_threshold", 8)
     knobs.setdefault("bridge_threshold", 3)
@@ -182,6 +218,45 @@ class TestRecording:
         assert [a["reason"] for a in aborts] == \
             ["loop exited through return"]
         assert traces_stats(j)["compiles"] == 0
+
+
+class TestStaging:
+    """Traces are staged by the staged interpreter along the recorded
+    path, so they get its folding and scalar replacement."""
+
+    def test_loop_local_object_is_scalar_replaced(self):
+        j = trace_jit(SCALAR_SRC, trace_threshold=5)
+        assert j.vm.call("Main", "f", [30]) == sum(i + 2 for i in range(30))
+        [trace] = j.tiers.traces.traces.values()
+        ops = {stmt.op for block in trace.result.blocks.values()
+               for stmt in block.stmts}
+        assert not ops & {"new", "class_is"}
+        assert "_newinst" not in trace.compiled.source
+        assert ".cls.name ==" not in trace.compiled.source
+
+    @pytest.mark.parametrize("source, entry, corrupt, reason", [
+        (SUM_SRC, 0, lambda e: e[:2] + (e[2] + 1, e[3]),
+         "log desync at Main.f@"),
+        (FOLDED_SRC, 1, lambda e: e[:3] + (not e[3],),
+         "folded branch disagrees with the log"),
+    ], ids=["desync", "folded"])
+    def test_unfollowable_log_is_a_counted_abort(self, monkeypatch, source,
+                                                 entry, corrupt, reason):
+        close = TraceManager.close_at_anchor
+
+        def close_corrupted(manager, rec):
+            rec.log[entry] = corrupt(rec.log[entry])
+            return close(manager, rec)
+
+        monkeypatch.setattr(TraceManager, "close_at_anchor", close_corrupted)
+        j = trace_jit(source, trace_threshold=5)
+        assert j.vm.call("Main", "f", [30]) == sum(range(30))
+        s = traces_stats(j)
+        assert s["recordings"] == s["aborts"] >= 1
+        assert s["compiles"] == 0
+        aborts = [e.data for e in j.telemetry.events("trace.abort")]
+        assert aborts and all(a["reason"].startswith(reason)
+                              for a in aborts)
 
 
 class TestGuardExit:
