@@ -289,10 +289,8 @@ def classify_op(op):
 
 
 def _classify(op):
-    from repro.delite.ops import (ElementwiseBuiltin, MapIndexedOp, MapOp,
-                                  MapReduceOp, RangeMapReduceOp,
-                                  ReduceBuiltin, ReduceOp, ZipMapOp,
-                                  ZipWithIndexOp)
+    from repro.delite.ops import (KERNEL_OPS, ElementwiseBuiltin,
+                                  ReduceBuiltin, ReduceOp, ZipWithIndexOp)
     kind = type(op).__name__
     name = getattr(op, "name", kind)
 
@@ -314,8 +312,7 @@ def _classify(op):
                            "combine probed associative/commutative")
         return verdict(PROVEN_SEQUENTIAL, "combine-probe",
                        "combine not proven associative/commutative")
-    if isinstance(op, (MapOp, MapIndexedOp, ZipMapOp, MapReduceOp,
-                       RangeMapReduceOp)):
+    if isinstance(op, KERNEL_OPS):
         kernel = op.kernel
         summary = summarize_kernel(kernel)
         if summary is None:

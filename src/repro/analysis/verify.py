@@ -16,7 +16,9 @@ code or, worse, silently wrong results. Checked invariants:
   is read — computed as a forward must-analysis (intersection over
   predecessors), i.e. availability == dominance for our block-arg SSA;
 * deopt metadata: guard statements and Deopt/OsrCompile terminators
-  reference an existing metadata id, and their live sets are Reps.
+  reference an existing metadata id, and their live sets are Reps;
+* no value read from a guard or a store: their syms are never assigned
+  in generated code, so no statement or terminator may use one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from repro.lms.ir import Branch, Deopt, Jump, OsrCompile, Return
 from repro.lms.rep import Rep, Sym
 
 _TERMINATORS = (Jump, Branch, Return, Deopt, OsrCompile)
+#: Ops whose sym holds no value.
+_VOID_OPS = ("guard", "guard_not", "putfield", "putfield_stablecheck",
+            "astore")
 
 
 def verify_ir(blocks, entry_id, params=(), metas=None, stage="staged",
@@ -45,6 +50,7 @@ def verify_ir(blocks, entry_id, params=(), metas=None, stage="staged",
         _check_phi_discipline(blocks, errors)
         _check_defs(blocks, entry_id, params, errors)
         _check_deopt_metadata(blocks, metas, errors)
+        _check_void_reads(blocks, errors)
     return _finish(errors, stage, collect)
 
 
@@ -202,3 +208,18 @@ def _check_deopt_metadata(blocks, metas, errors):
                 if not isinstance(rep, Rep):
                     errors.append("B%d: deopt live value %r is not a Rep"
                                   % (bid, rep))
+
+
+def _check_void_reads(blocks, errors):
+    void = {stmt.sym.name: stmt.op for block in blocks.values()
+            for stmt in block.stmts if stmt.op in _VOID_OPS}
+    if not void:
+        return
+    for bid, block in blocks.items():
+        reads = [(stmt, arg) for stmt in block.stmts for arg in stmt.args]
+        reads += [(block.terminator, rep)
+                  for rep in _term_reps(block.terminator)]
+        for user, arg in reads:
+            if isinstance(arg, Sym) and arg.name in void:
+                errors.append("B%d: %r reads %s, which a %s never assigns"
+                              % (bid, user, arg.name, void[arg.name]))

@@ -72,6 +72,8 @@ class CompiledFunction:
         self.source = fresh.source
         self.metas = fresh.metas
         self.warnings = fresh.warnings
+        # A unit reloaded from the code cache carries no IR.
+        self.ir = getattr(fresh, "ir", None)
         self._adopt_stable_deps(fresh)
         self.valid = True
         self.invalidated_reason = None

@@ -8,7 +8,8 @@ Scala/CUDA. This reproduction keeps the same architecture:
   Reduce, MapReduce, elementwise/reduce builtins);
 * :mod:`repro.delite.kernels` — per-element kernels compiled from guest
   closures by Lancet, with a numpy *vectorizer* standing in for CUDA
-  codegen;
+  codegen, and chunk loops (one generated function per chunk, kernel
+  body inlined) for the kernels it cannot vectorize;
 * :mod:`repro.delite.fusion` — producer/consumer fusion over the staged IR
   plus zipWithIndex SoA elimination;
 * :mod:`repro.delite.runtime` — execution backends: sequential, simulated

@@ -25,13 +25,17 @@ class DeliteOp:
     pinned), and ``total`` marks ops that cannot raise a guest error for
     well-typed inputs. Builtins declare ``total`` by contract (they are
     tuned, vetted patterns — the Delite stance); guest-kernel ops leave
-    it False and must prove totality from their kernel IR."""
+    it False and must prove totality from their kernel IR.
+
+    ``indexed`` marks ops whose kernel takes the element's global index
+    as its last argument."""
 
     name = "op"
     n_elem = 1
     gpu_capable = True
     scalar_result = False
     total = False
+    indexed = False
 
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, self.name)
@@ -60,6 +64,8 @@ class ZipMapOp(DeliteOp):
 class MapIndexedOp(DeliteOp):
     """out[i] = kernel(xs[i], i) — a fused map-over-zipWithIndex (the SoA
     form: no pair objects are ever allocated)."""
+
+    indexed = True
 
     def __init__(self, kernel, name=None):
         self.kernel = kernel
@@ -278,9 +284,14 @@ class RangeMapReduceOp(DeliteOp):
     uniform args; chunking splits the index space."""
 
     scalar_result = True
+    indexed = True
 
     def __init__(self, kernel, name=None):
         self.kernel = kernel
         self.n_elem = 0
         self.name = name or "rangesum:%s" % kernel.name
         self.gpu_capable = kernel.vectorized
+
+
+#: Ops that apply a guest kernel to each element.
+KERNEL_OPS = (MapOp, ZipMapOp, MapIndexedOp, MapReduceOp, RangeMapReduceOp)

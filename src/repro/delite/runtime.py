@@ -20,6 +20,10 @@ with a ``parsafe.fallback`` event. In ``check`` mode, chunked execution
 additionally runs under the :mod:`repro.analysis.raced` write sanitizer,
 which records per-chunk write footprints and raises ``RaceDetected`` on
 overlap — the dynamic cross-check of the static verdicts.
+
+Per-element kernels run as one generated chunk loop per chunk
+(:meth:`repro.delite.kernels.Kernel.chunk_loop`); a launch that calls the
+kernel per element instead is counted in ``chunk_fallbacks``.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ import numpy as np
 from repro.analysis.parsafe import classify_op
 from repro.analysis.raced import WriteSanitizer
 from repro.compiler.options import resolve_parsafe
-from repro.delite.ops import (ElementwiseBuiltin, MapIndexedOp, MapOp,
-                              MapReduceOp, RangeMapReduceOp, ReduceBuiltin,
-                              ReduceOp, ZipMapOp, ZipWithIndexOp)
+from repro.delite.ops import (KERNEL_OPS, ElementwiseBuiltin, MapReduceOp,
+                              RangeMapReduceOp, ReduceBuiltin, ReduceOp,
+                              ZipWithIndexOp)
+from repro.errors import GuestIndexError
 
 
 #: The modeled GPU: per-kernel launch overhead in microseconds, and
@@ -60,6 +65,7 @@ class DeliteRuntime:
         self.parsafe = resolve_parsafe(parsafe)
         self.parsafe_fallbacks = 0       # unproven ops demoted to seq
         self.parsafe_checks = 0          # sanitized chunked launches
+        self.chunk_fallbacks = 0         # kernel launches run per element
         self._np_cache = {}
         # id(guest closure) -> Kernel; the kernel holds its closure, so
         # the id stays unique while the entry lives.
@@ -84,18 +90,19 @@ class DeliteRuntime:
         identity so per-op conversion cost disappears, the way Delite keeps
         DeliteArray data device-resident."""
         hit = self._np_cache.get(id(arr))
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] is arr:
+            return hit[1]
         converted = np.asarray(arr, dtype=np.float64)
-        self._np_cache[id(arr)] = converted
+        # The entry keeps ``arr`` alive, so its id cannot be reused.
+        self._np_cache[id(arr)] = (arr, converted)
         return converted
 
     def _as_array(self, x):
         if isinstance(x, np.ndarray):
             return x
         hit = self._np_cache.get(id(x))
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] is x:
+            return hit[1]
         return np.asarray(x, dtype=np.float64)
 
     # -- execution ---------------------------------------------------------------
@@ -126,19 +133,23 @@ class DeliteRuntime:
             # Materialize the index range as the single element input.
             start, end = int(args[0]), int(args[1])
             idx = np.arange(start, end, dtype=np.float64) \
-                if op.kernel.vectorized else list(range(start, end))
-            args = (idx,) + tuple(args[2:])
-            op_n_elem = 1
+                if op.kernel.vectorized else range(start, end)
             elems = [idx]
-            uniforms = [self._as_uniform(u) for u in args[1:]]
+            uniforms = [self._as_uniform(u) for u in args[2:]]
         else:
             elems = [self._as_elem(op, a) for a in args[:op.n_elem]]
             uniforms = [self._as_uniform(u) for u in args[op.n_elem:]]
-        if self._is_indexed(op) and elems:
+            if isinstance(op, KERNEL_OPS) and \
+                    any(len(e) < len(elems[0]) for e in elems[1:]):
+                # A guest loop over the first input would index past the
+                # end of a shorter one.
+                raise GuestIndexError("element input shorter than the first")
+        if op.indexed and op.n_elem:
             # Indexed ops get the index space as an explicit element input
-            # so chunked execution sees globally-correct indices.
+            # so chunked execution sees globally-correct indices; chunk
+            # loops read only its start.
             elems.append(np.arange(len(elems[0]), dtype=np.float64)
-                         if _wants_numpy(op) else list(range(len(elems[0]))))
+                         if _wants_numpy(op) else range(len(elems[0])))
         want_gpu = self.backend == "gpu" and op.gpu_capable
         want_smp = self.backend == "smp" and self.cores > 1
         if (want_gpu or want_smp) and self.parsafe != "off" \
@@ -171,11 +182,6 @@ class DeliteRuntime:
                        verdict=verdict.status, checker=verdict.checker,
                        blame=verdict.blame)
         return False
-
-    @staticmethod
-    def _is_indexed(op):
-        return isinstance(op, MapIndexedOp) or (
-            isinstance(op, MapReduceOp) and op.indexed)
 
     def _as_elem(self, op, a):
         if _wants_numpy(op):
@@ -272,46 +278,13 @@ class DeliteRuntime:
             if op.finalize is not None and self.backend != "smp":
                 partial = op.finalize(partial)
             return partial
-        if isinstance(op, (MapOp, ZipMapOp)):
+        if isinstance(op, KERNEL_OPS):
             kernel = op.kernel
-            if kernel.vectorized and isinstance(elems[0], np.ndarray):
-                return kernel.numpy_fn(*elems)
-            fn = kernel.scalar_fn
-            if len(elems) == 1:
-                return [fn(x) for x in elems[0]]
-            return [fn(x, y) for x, y in zip(*elems)]
-        if isinstance(op, MapIndexedOp):
-            # The index array was appended as the last element input.
-            kernel = op.kernel
-            if kernel.vectorized and isinstance(elems[0], np.ndarray):
-                return kernel.numpy_fn(*elems)
-            fn = kernel.scalar_fn
-            return [fn(x, int(i)) for x, i in zip(*elems)]
-        if isinstance(op, MapReduceOp):
-            kernel = op.kernel
-            if kernel.vectorized and isinstance(elems[0], np.ndarray):
-                return float(np.sum(kernel.numpy_fn(*elems)))
-            fn = kernel.scalar_fn
-            acc = 0
-            if op.indexed:
-                for x, i in zip(*elems):
-                    acc += fn(x, int(i))
-            elif len(elems) == 1:
-                for x in elems[0]:
-                    acc += fn(x)
-            else:
-                for xs in zip(*elems):
-                    acc += fn(*xs)
-            return acc
-        if isinstance(op, RangeMapReduceOp):
-            kernel = op.kernel
-            if kernel.vectorized and isinstance(elems[0], np.ndarray):
-                return float(np.sum(kernel.numpy_fn(elems[0])))
-            acc = 0
-            fn = kernel.scalar_fn
-            for i in elems[0]:
-                acc += fn(int(i))
-            return acc
+            if kernel.vectorized:
+                out = kernel.numpy_fn(*elems)
+                return float(np.sum(out)) if op.scalar_result else out
+            return self._run_kernel(
+                kernel, (op.scalar_result, op.n_elem, op.indexed), elems)
         if isinstance(op, ReduceOp):
             if op.kernel is None:
                 if isinstance(elems[0], np.ndarray):
@@ -323,6 +296,21 @@ class DeliteRuntime:
                 acc = fn(acc, x)
             return acc
         raise TypeError("cannot execute %r" % (op,))
+
+    def _run_kernel(self, kernel, shape, elems):
+        """One chunk of a per-element kernel. ``elems`` are the element
+        inputs and, for an indexed kernel, this chunk's slice of the index
+        range last."""
+        __, inputs, indexed = shape
+        loop, fallback = kernel.chunk_loop(shape)
+        if fallback is not None:
+            self.chunk_fallbacks += 1
+            if self.telemetry is not None:
+                self.telemetry.inc("delite.chunk_fallbacks")
+                self.telemetry.record("delite.chunk_fallback",
+                                      kernel=kernel.name, reason=fallback)
+        start = elems[-1].start if indexed else 0
+        return loop(len(elems[0]), start, *elems[:inputs])
 
     def _run_zip_with_index(self, op, xs):
         # Unfused semantics: materialize pair objects (the AoS cost the

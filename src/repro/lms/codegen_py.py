@@ -129,22 +129,21 @@ class PyCodegen:
             if flags.get("objfast"):
                 return "%s = %s.fields[%r]" % (target, r(args[0]), args[1])
             return "%s = _getf(%s, %r)" % (target, r(args[0]), args[1])
-        if op == "putfield":
-            if flags.get("objfast"):
-                return "%s.fields[%r] = %s; %s = None" % (
-                    r(args[0]), args[1], r(args[2]), target)
-            return "%s = _putf(%s, %r, %s)" % (target, r(args[0]), args[1],
-                                               r(args[2]))
-        if op == "putfield_stablecheck":
-            return "%s = _putf(%s, %r, %s)" % (target, r(args[0]), args[1],
-                                               r(args[2]))
+        # Stores and guards define no value (``verify_ir`` rejects a read
+        # of their sym), so nothing is assigned to it.
+        if op == "putfield" and flags.get("objfast"):
+            return "%s.fields[%r] = %s" % (r(args[0]), args[1], r(args[2]))
+        if op in ("putfield", "putfield_stablecheck"):
+            return "_putf(%s, %r, %s)" % (r(args[0]), args[1], r(args[2]))
         if op == "alen" and flags.get("arrfast"):
             return "%s = len(%s)" % (target, r(args[0]))
         if op == "aload" and (flags.get("fast") or flags.get("known_arr")):
             return "%s = %s[%s]" % (target, r(args[0]), r(args[1]))
-        if op == "astore" and flags.get("fast"):
-            return "%s[%s] = %s; %s = None" % (r(args[0]), r(args[1]),
-                                               r(args[2]), target)
+        if op == "astore":
+            if flags.get("fast"):
+                return "%s[%s] = %s" % (r(args[0]), r(args[1]), r(args[2]))
+            return "_astore(%s, %s, %s)" % (r(args[0]), r(args[1]),
+                                            r(args[2]))
         if op in _HELPER_BY_OP:
             rendered = ", ".join(r(a) for a in args)
             return "%s = %s(%s)" % (target, _HELPER_BY_OP[op], rendered)
@@ -190,18 +189,11 @@ class PyCodegen:
             rendered = ", ".join(r(a) for a in args[2:])
             return "%s = _callm(%s, %s, [%s])" % (target, r(args[0]),
                                                   r(args[1]), rendered)
-        if op == "guard":
-            meta_id = args[1]
+        if op in ("guard", "guard_not"):
             lives = ", ".join(r(a) for a in args[2:])
-            return ("if not %s: raise _DeoptEx(%d, (%s))\n%s = None"
-                    % (r(args[0]), meta_id, lives + ("," if lives else ""),
-                       target))
-        if op == "guard_not":
-            meta_id = args[1]
-            lives = ", ".join(r(a) for a in args[2:])
-            return ("if %s: raise _DeoptEx(%d, (%s))\n%s = None"
-                    % (r(args[0]), meta_id, lives + ("," if lives else ""),
-                       target))
+            return ("if %s%s: raise _DeoptEx(%d, (%s))"
+                    % ("not " if op == "guard" else "", r(args[0]), args[1],
+                       lives + ("," if lives else "")))
         if op == "make_cont":
             meta_id = args[0]
             lives = ", ".join(r(a) for a in args[1:])
@@ -278,12 +270,9 @@ class PyCodegen:
             pad = " " * (depth + 1)
             if kind == "block":
                 block = blocks[arg]
-                body = [self.stmt(stmt) for stmt in block.stmts]
-                body += self.exit_lines(block.terminator)
-                if body:
-                    # A guard renders as two lines; indent them all.
-                    lines.append(pad + "\n".join(body).replace(
-                        "\n", "\n" + pad))
+                lines.extend(pad + ln for ln in
+                             [self.stmt(stmt) for stmt in block.stmts]
+                             + self.exit_lines(block.terminator))
             elif kind == "assign":
                 lines.extend(pad + ln for ln in self._assigns(arg))
             elif kind in ("else", "end"):
@@ -315,9 +304,7 @@ class PyCodegen:
             first = False
             body = [self.stmt(stmt) for stmt in block.stmts]
             body += self._dispatch_edges(block.terminator)
-            for chunk in body or ["pass"]:
-                for ln in chunk.split("\n"):
-                    lines.append("            " + ln)
+            lines.extend("            " + ln for ln in body or ["pass"])
 
     def exec_source(self, source, callv, callm, mkcont, osr,
                     filename="<lancet-compiled>"):

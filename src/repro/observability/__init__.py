@@ -35,6 +35,9 @@ Event kinds emitted by the built-in instrumentation::
     cache.hit / cache.miss / cache.evict / cache.flush
     macro.expand
     delite.launch
+    delite.chunk_fallback    (a per-element kernel launch that did not run
+                             as a generated chunk loop: kernel, reason;
+                             counter ``delite.chunk_fallbacks``)
     parsafe.verdict          (one parallel-safety verdict per Delite op:
                              status, deciding checker, blame provenance)
     parsafe.fallback         (unproven op demoted from smp/gpu to seq;

@@ -27,6 +27,7 @@ from repro.runtime.objects import Obj
 # Guest arrays are Python lists; Delite ops hand numpy arrays back to guest
 # code, so the array helpers accept both.
 ARRAY_TYPES = (list, _np.ndarray)
+_LENGTH_TYPES = (str,) + ARRAY_TYPES
 
 
 def guest_add(a, b):
@@ -179,7 +180,7 @@ def guest_astore(arr, i, v):
 def guest_alen(arr):
     if arr is None:
         raise GuestNullError("length of null")
-    if not isinstance(arr, (str,) + ARRAY_TYPES):
+    if not isinstance(arr, _LENGTH_TYPES):
         raise GuestTypeError("length of %r" % type(arr).__name__)
     return len(arr)
 

@@ -141,6 +141,37 @@ class TestVerifier:
         errors = verify_ir(blocks, 0, params=("c",), metas=[], collect=True)
         assert any("deopt meta" in e for e in errors)
 
+    @pytest.mark.parametrize("op", ["guard", "guard_not", "putfield",
+                                    "astore"])
+    def test_reading_a_guard_or_store_sym(self, op):
+        # Codegen assigns nothing to these syms, so a read of one is an
+        # error whether a statement or a terminator makes it.
+        args = {"guard": (Sym("c"), 0), "guard_not": (Sym("c"), 0),
+                "putfield": (Sym("c"), "f", ConstRep(1)),
+                "astore": (Sym("c"), ConstRep(0), ConstRep(1))}[op]
+        blocks = {
+            0: _block(0, [_stmt("w", op, args, Effect.WRITE),
+                          _stmt("u", "id", (Sym("w"),))],
+                      Return(Sym("w"))),
+        }
+        errors = verify_ir(blocks, 0, params=("c",), collect=True)
+        assert errors == [
+            "B0: u = id(w) reads w, which a %s never assigns" % op,
+            "B0: return w reads w, which a %s never assigns" % op]
+
+    def test_compiled_guards_and_stores_assign_nothing(self):
+        j = load('''
+            def f(a, x) {
+              Lancet.speculate(x > 0);
+              a[0] = x;
+              return a[0];
+            }
+        ''')
+        c = j.compile_function("Main", "f")
+        assert c([0], 3) == 3
+        assert "raise _DeoptEx" in c.source
+        assert "= None" not in c.source
+
     def test_corrupting_real_compiled_ir_is_caught(self):
         j = load("def f(x) { if (x > 0) { return x; } return 0 - x; }")
         c = j.compile_function("Main", "f")
