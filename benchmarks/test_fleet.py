@@ -12,7 +12,8 @@ assertions, both enforced in the ``fleet-smoke`` CI job:
    first-touch requests against a prewarmed store rehydrate instead of
    compiling (or waiting on a leader's compile). The functional claim
    (zero warm compiles) is a hard gate; the wall-clock comparison
-   carries a small noise tolerance so shared CI runners don't flake it.
+   takes the median of three cold/warm pairs and carries a small noise
+   tolerance so shared CI runners don't flake it.
 
 Parameterized for CI via ``REPRO_FLEET_VMS`` / ``REPRO_FLEET_REQUESTS``;
 ``REPRO_FLEET_JSON=path`` merges each test's numbers into a JSON
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import threading
 import time
 
@@ -51,6 +53,9 @@ SHAPES = ["poly", "sq", "scale", "shift"]
 
 FLEET_VMS = int(os.environ.get("REPRO_FLEET_VMS", "8"))
 FLEET_REQUESTS = int(os.environ.get("REPRO_FLEET_REQUESTS", "200"))
+
+#: Cold/warm fleet pairs whose median p99s the latency check compares.
+LATENCY_PAIRS = 3
 
 
 def run_fleet(cache_dir, n_vms, requests_per_vm):
@@ -143,24 +148,36 @@ def test_warm_fleet_p99_strictly_below_cold(tmp_path):
     """Headline 2: a fleet inheriting a populated store answers its
     slowest (first-touch) requests by rehydrating, not compiling.
 
-    ``compiles == 0`` is the hard functional gate; the latency check
-    carries a 5% noise allowance so a GC pause or noisy CI neighbor
-    during the warm run cannot flake an otherwise-correct cache."""
-    cache_dir = str(tmp_path / "fleet-cc")
-    cold = run_fleet(cache_dir, FLEET_VMS, FLEET_REQUESTS)
-    warm = run_fleet(cache_dir, FLEET_VMS, FLEET_REQUESTS)
-    cold_p99 = p99(cold["latencies"])
-    warm_p99 = p99(warm["latencies"])
-    assert warm["compiles"] == 0        # every first touch was a warm hit
+    ``compiles == 0`` is the hard functional gate on every warm run. The
+    latency check compares the median p99 of three cold/warm pairs, each
+    on a fresh store, with a 5% noise allowance: one run's p99 is a
+    handful of requests, which a GC pause or a noisy CI neighbor can
+    move by more than the margin a cheap cold compile leaves."""
+    cold_p99s, warm_p99s, pairs = [], [], []
+    for i in range(LATENCY_PAIRS):
+        cache_dir = str(tmp_path / ("fleet-cc-%d" % i))
+        cold = run_fleet(cache_dir, FLEET_VMS, FLEET_REQUESTS)
+        warm = run_fleet(cache_dir, FLEET_VMS, FLEET_REQUESTS)
+        assert warm["compiles"] == 0    # every first touch was a warm hit
+        cold_p99s.append(p99(cold["latencies"]))
+        warm_p99s.append(p99(warm["latencies"]))
+        pairs.append({
+            "cold": {"p99_s": cold_p99s[-1], "compiles": cold["compiles"],
+                     "dedup_waits": cold["server"]["dedup_waits"]},
+            "warm": {"p99_s": warm_p99s[-1], "compiles": warm["compiles"],
+                     "dedup_waits": warm["server"]["dedup_waits"]},
+        })
+    cold_p99 = statistics.median(cold_p99s)
+    warm_p99 = statistics.median(warm_p99s)
     assert warm_p99 < cold_p99 * 1.05, (
-        "warm p99 %.6fs not below cold p99 %.6fs (+5%% tolerance)"
-        % (warm_p99, cold_p99))
+        "median warm p99 %.6fs not below median cold p99 %.6fs "
+        "(+5%% tolerance; per pair cold %r, warm %r)"
+        % (warm_p99, cold_p99, cold_p99s, warm_p99s))
     _record("cold_vs_warm", {
         "vms": FLEET_VMS,
         "requests_per_vm": FLEET_REQUESTS,
-        "cold": {"p99_s": cold_p99, "compiles": cold["compiles"],
-                 "dedup_waits": cold["server"]["dedup_waits"]},
-        "warm": {"p99_s": warm_p99, "compiles": warm["compiles"],
-                 "dedup_waits": warm["server"]["dedup_waits"]},
+        "pairs": pairs,
+        "cold": {"median_p99_s": cold_p99},
+        "warm": {"median_p99_s": warm_p99},
         "p99_speedup": (cold_p99 / warm_p99) if warm_p99 else None,
     })

@@ -145,6 +145,12 @@ class PartialArray(AbsVal):
         return "PartialArray(len=%d)" % len(self.elems)
 
 
+#: Type hints whose non-null fact nothing reads (only object, array and
+#: string accesses do). An Unknown with one of them never claims
+#: non-null, so a join does not move on a fact no staging decision uses.
+NULL_BLIND_HINTS = frozenset({None, "num", "bool"})
+
+
 class Unknown(AbsVal):
     """A dynamic value, optionally refined by a type hint / non-nullness."""
 
@@ -152,7 +158,7 @@ class Unknown(AbsVal):
 
     def __init__(self, ty=None, nonnull=False):
         self.ty = ty
-        self._nonnull = nonnull
+        self._nonnull = nonnull and ty not in NULL_BLIND_HINTS
 
     def type_hint(self):
         return self.ty

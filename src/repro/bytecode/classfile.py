@@ -54,8 +54,12 @@ class MethodInfo:
         return "%s.%s" % (self.class_name or "?", self.name)
 
     def frame_slots(self):
-        """Total frame slots: locals plus a conservative operand-stack bound."""
-        return self.num_locals + max_stack(self.code)
+        """Total frame slots: locals plus a conservative operand-stack
+        bound (memoized, as the interpreter's ``method_stack_size``)."""
+        slots = getattr(self, "_frame_slots", None)
+        if slots is None:
+            slots = self._frame_slots = self.num_locals + max_stack(self.code)
+        return slots
 
     def __repr__(self):
         return "MethodInfo(%s, params=%d, %d instrs)" % (

@@ -36,3 +36,33 @@ def join_bcis(method):
     method._join_bcis = joins
     return joins
 
+
+def rpo_index(method):
+    """The reverse-postorder position of every bci. Branches visit their
+    taken target first, so a loop's exit comes after its body; bcis not
+    reachable from the entry come last."""
+    cached = getattr(method, "_rpo_index", None)
+    if cached is not None:
+        return cached
+    code = method.code
+    n = len(code)
+    post = []
+    if n:
+        seen = {0}
+        stack = [(0, reversed(successors_of(code, 0)))]
+        while stack:
+            bci, succs = stack[-1]
+            for s in succs:
+                if s < n and s not in seen:
+                    seen.add(s)
+                    stack.append((s, reversed(successors_of(code, s))))
+                    break
+            else:
+                stack.pop()
+                post.append(bci)
+    index = list(range(n, 2 * n))
+    for pos, bci in enumerate(reversed(post)):
+        index[bci] = pos
+    method._rpo_index = index
+    return index
+

@@ -19,12 +19,15 @@ allocations):
 * straight-line control flow and calls chosen for inlining are absorbed
   into the current block;
 * branches whose condition folds to a constant disappear;
-* transfers to bytecode join points split blocks. The first edge to a join
-  creates a single-predecessor continuation block (which may freely read
-  the predecessor's symbols and receive scalar-replaced objects); a second
-  edge converts it to a *merge block* with explicit block parameters, and
-  the whole compilation restarts with the widened entry state. Passes
-  repeat until no entry state changes — the fixpoint of section 2.2.
+* transfers to bytecode join points split blocks. Blocks are staged in
+  reverse postorder, so a join is popped after every forward edge that
+  reaches it, and decided then: one edge makes a single-predecessor
+  continuation block (which may freely read the predecessor's symbols
+  and receive scalar-replaced objects); more make a *merge block* with
+  explicit block parameters. A back edge that widens a loop header's
+  entry state restarts the whole compilation with the widened state.
+  Passes repeat until no entry state changes — the fixpoint of section
+  2.2.
 * under an ``unroll`` dynamic scope, repeated arrivals at a loop header
   with fully-static state clone the header instead of widening
   (polyvariant specialization — this is how loops over frozen data unroll).
@@ -42,13 +45,13 @@ joins.
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import deque
 
 from repro.absint.absval import (Const, Partial, PartialArray, Static,
                                  Unknown, UNKNOWN, lub, merge_type_hints)
 from repro.bytecode.opcodes import Op
-from repro.compiler.blocks import join_bcis
+from repro.compiler.blocks import join_bcis, rpo_index
 from repro.compiler.deopt import (DeoptMeta, FrameTemplate, VirtualArray,
                                   VirtualObject)
 from repro.analysis.liveness import live_at
@@ -220,13 +223,56 @@ class MachineState:
 class MergeInfo:
     """Persistent (across passes) facts about one reachable program point."""
 
-    __slots__ = ("bid", "mode", "lattice", "shape")
+    __slots__ = ("bid", "mode", "lattice", "shape", "priority", "edges",
+                 "staged")
 
-    def __init__(self, bid):
+    def __init__(self, bid, priority):
         self.bid = bid
         self.mode = "single"
         self.lattice = None       # list of slot-lattice entries (merge mode)
         self.shape = None         # representative state (frame shape/scopes)
+        self.priority = priority  # the worklist's order (_rpo_priority)
+        self.edges = None         # edges waiting for the block this pass
+        self.staged = 0           # the last pass that staged the block
+
+
+class _Edge:
+    """An edge into a block that has not been decided yet: the state it
+    carries, and where in its source block a merge would materialize
+    that state's partial objects."""
+
+    __slots__ = ("state", "block", "pos", "prev", "assigns", "inserted")
+
+    def __init__(self, state, block, out_edges):
+        self.state = state
+        self.block = block
+        self.pos = len(block.stmts)
+        # The waiting edge its block left by before this one.
+        self.prev = out_edges[-1] if out_edges else None
+        out_edges.append(self)
+        self.assigns = []
+        self.inserted = 0
+
+    def materialize(self, machine):
+        """Escape the edge's partial objects into its source block,
+        after those of the edges the block left by before it."""
+        block = self.block
+        ctx = machine.ctx
+        current = ctx.current_block
+        ctx.set_current(block)
+        end = len(block.stmts)
+        machine._materialize(self.state)
+        ctx.set_current(current)
+        stmts = block.stmts[end:]
+        if stmts:
+            del block.stmts[end:]
+            at = self.pos
+            edge = self.prev
+            while edge is not None:
+                at += edge.inserted
+                edge = edge.prev
+            block.stmts[at:at] = stmts
+            self.inserted = len(stmts)
 
 
 class CompileResult:
@@ -284,12 +330,13 @@ class StagedInterpreter:
         # Per pass:
         self.ctx = None
         self._pass_changed = False
-        self._reached_count = None
-        self._enqueued = None
-        self._generated = None
+        self._restart_cause = None
         self._single_entries = None
         self._pass_versions = None
-        self._worklist = None
+        self._worklist = None       # heap of (RPO priority, seq, MergeInfo)
+        self._pushes = 0
+        self._priority_now = ()     # the priority of the block being staged
+        self._out_edges = None      # the waiting edges it has left by
         self._taint_branch_sinks = []
         self._noalloc_sites = []
         self._stmt_budget = 0
@@ -302,32 +349,30 @@ class StagedInterpreter:
     def compile_unit(self, build_entry_state, param_names):
         """Run generation passes to fixpoint. ``build_entry_state()``
         constructs a fresh entry state (same shape every pass)."""
-        entry_bid = None
-        entry_assigns = []
+        generated = 0
         for pass_num in range(MAX_PASSES):
             self._begin_pass(pass_num)
             entry_state = build_entry_state()
             # Seed abstract facts for the entry parameter syms.
             prologue = self.ctx.new_block(self._bid_for_prologue())
             self.ctx.set_current(prologue)
-            entry_bid, entry_assigns = self.reach(entry_state)
-            prologue.terminator = Jump(entry_bid, entry_assigns)
+            self._jump(prologue, entry_state)
 
+            # Reverse postorder: a forward join pops after every
+            # predecessor that reaches it, so it is decided once.
             while self._worklist:
-                entry = self._worklist.popleft()
-                if entry[0] == "merge":
-                    # Build the merge state from the *current* lattice:
-                    # predecessors reached after enqueueing may have
-                    # upgraded slots (const -> param) in the meantime.
-                    bid, state, params = self._merge_entry(entry[1])
-                else:
-                    __, bid, state = entry
-                    params = None
-                self._generate_block(bid, state, params)
+                priority, __, info = heapq.heappop(self._worklist)
+                self._priority_now = priority
+                self._generate_block(*self._decide(info))
 
-            self._tel_record("compile.phase", pass_num=pass_num + 1,
+            generated += len(self.ctx.blocks)
+            self._tel_record("compile.phase", phase="staging",
+                             pass_num=pass_num + 1,
                              changed=self._pass_changed,
-                             blocks=len(self.ctx.blocks))
+                             cause=self._restart_cause,
+                             generated=generated,
+                             kept=0 if self._pass_changed
+                             else len(self.ctx.blocks))
             if not self._pass_changed:
                 break
         else:
@@ -335,11 +380,10 @@ class StagedInterpreter:
                 "compilation did not converge after %d passes"
                 % MAX_PASSES)
 
-        blocks = self.ctx.blocks
         return CompileResult(
-            blocks=blocks,
+            blocks=self.ctx.blocks,
             entry_bid=self._prologue_bid,
-            entry_assigns=entry_assigns,
+            entry_assigns=prologue.terminator.phi_assigns,
             param_names=param_names,
             metas=self.ctx.deopt_metas,
             statics=self.statics,
@@ -352,12 +396,13 @@ class StagedInterpreter:
     def _begin_pass(self, pass_num, prefix=""):
         self.ctx = StagingContext(statics=self.statics, prefix=prefix)
         self._pass_changed = False
-        self._reached_count = {}
-        self._enqueued = set()
-        self._generated = set()
+        self._restart_cause = None
         self._single_entries = {}
         self._pass_versions = {}
-        self._worklist = deque()
+        self._worklist = []
+        self._pushes = 0
+        self._priority_now = ()
+        self._out_edges = []
         self._taint_branch_sinks = []
         self._noalloc_sites = []
         self._stmt_budget = self.options.max_stmts
@@ -370,6 +415,16 @@ class StagedInterpreter:
         self.deopt_site_count = 0
         self.unroll_clone_count = 0
         self.macro_count = 0
+
+    def _restart(self, cause):
+        """This pass cannot be the last: ``cause`` is ``static_write``
+        (folded reads of an array found written later), ``loop_header``
+        (a back edge moved a staged block's entry state) or ``join`` (a
+        forward edge did, which reverse postorder should prevent). The
+        pass still runs to its end, so that it learns every join."""
+        self._pass_changed = True
+        if self._restart_cause is None:
+            self._restart_cause = cause
 
     def stage_trace(self, build_entry_state, log, header_bci, prefix):
         """Stage one recorded path (a loop trace or a bridge; ``log`` as
@@ -853,47 +908,30 @@ class StagedInterpreter:
                 f.locals[f.method.num_locals + i] = next(it)
 
     def reach(self, state):
-        """Transfer control to ``state``; returns (block id, phi assigns)."""
+        """Transfer control to ``state``; returns ``(block id, phi
+        assigns)``. The assigns list is filled in when the target is
+        decided, so a terminator must keep that very list."""
         self._apply_liveness(state)
         key = state.key()
         info = self.merge_infos.get(key)
-        count = self._reached_count.get(key, 0)
 
-        if info is not None and (count >= 1 or info.mode == "merge"):
-            # A join. Under an `unroll` scope with static-only differences,
-            # clone the target instead of widening (polyvariance).
-            if state.frame.scope.get("unroll") and info.mode != "merge":
+        if info is not None and state.frame.scope.get("unroll") and (
+                info.mode == "merge" or info.edges is not None
+                or info.staged == self.pass_count):
+            # A join under an `unroll` scope: clone the target instead of
+            # widening (polyvariance), unless the state is the same.
+            if info.mode != "merge":
                 prev = self._single_entries.get(info.bid)
-                if prev is None or not _states_equal(prev, state):
-                    return self._reach_versioned(key, state)
-                return info.bid, []
-            if state.frame.scope.get("unroll") and info.mode == "merge":
-                return self._reach_versioned(key, state)
+                if prev is not None and _states_equal(prev, state):
+                    return info.bid, []
+            return self._reach_versioned(key, info, state)
 
         if info is None:
-            info = MergeInfo(self._alloc_bid())
-            info.shape = state.copy()
-            self.merge_infos[key] = info
+            info = self.merge_infos[key] = MergeInfo(
+                self._alloc_bid(), _rpo_priority(state))
+        return self._arrive(info, state)
 
-        self._reached_count[key] = count + 1
-
-        if info.mode == "single":
-            if count == 0:
-                prev = self._single_entries.get(info.bid)
-                self._single_entries[info.bid] = state.copy()
-                self._enqueue_single(info, state)
-                return info.bid, []
-            # Second predecessor: convert to a merge block and restart.
-            info.mode = "merge"
-            first_state = self._single_entries.get(info.bid)
-            info.lattice = None
-            self._pass_changed = True
-            if first_state is not None:
-                self._merge_into(info, first_state)
-            return self._merge_into(info, state)
-        return self._merge_into(info, state)
-
-    def _reach_versioned(self, key, state):
+    def _reach_versioned(self, key, base, state):
         n = self._pass_versions.get(key, 0) + 1
         if n > self.options.unroll_limit:
             raise UnrollError(
@@ -909,59 +947,93 @@ class StagedInterpreter:
         vkey = key + (("v", n),)
         info = self.merge_infos.get(vkey)
         if info is None:
-            info = MergeInfo(self._alloc_bid())
-            info.shape = state.copy()
-            self.merge_infos[vkey] = info
-        if info.mode == "merge":
-            self._reached_count[vkey] = self._reached_count.get(vkey, 0) + 1
-            return self._merge_into(info, state)
-        prev_count = self._reached_count.get(vkey, 0)
-        self._reached_count[vkey] = prev_count + 1
-        if prev_count == 0:
-            self._single_entries[info.bid] = state.copy()
-            self._enqueue_single(info, state)
-            return info.bid, []
-        info.mode = "merge"
-        first_state = self._single_entries.get(info.bid)
-        self._pass_changed = True
-        if first_state is not None:
-            self._merge_into(info, first_state)
-        return self._merge_into(info, state)
+            # A clone that a back edge makes comes after the block that
+            # made it, as in the unrolled CFG.
+            info = self.merge_infos[vkey] = MergeInfo(
+                self._alloc_bid(), max(base.priority, self._priority_now))
+        return self._arrive(info, state)
 
-    def _merge_into(self, info, state):
-        """Merge ``state`` into a merge-mode block's entry lattice and
-        compute this predecessor's phi assignments."""
-        # Partials cannot cross a merge: materialize in the predecessor.
+    def _arrive(self, info, state):
+        """One edge from the current block into ``info``'s block. Until
+        the block is popped the edge only waits; an edge into a block
+        this pass already staged is a back edge, which must fit the
+        block's entry state or restart."""
+        bid = info.bid
+        if info.staged != self.pass_count:
+            edges = info.edges
+            if edges is None:
+                edges = info.edges = []
+                if info.mode == "single":
+                    self._single_entries[bid] = state.copy()
+                self._pushes += 1
+                heapq.heappush(self._worklist,
+                               (info.priority, self._pushes, info))
+            edge = _Edge(state, self.ctx.current_block, self._out_edges)
+            edges.append(edge)
+            return bid, edge.assigns
+        cause = "loop_header" if info.priority <= self._priority_now \
+            else "join"
+        if info.mode == "single":
+            first = self._single_entries[bid]
+            info.mode = "merge"
+            info.shape = first
+            self._materialize(first)
+            self._join_slots(info, first)
+            self._restart(cause)
         self._materialize(state)
-        slots = self._flatten_slots(state)
-        if info.lattice is None:
-            info.lattice = [("bot",)] * len(slots)
-        if len(info.lattice) != len(slots):
-            raise CompilationError("inconsistent frame shapes at join")
-        assigns = []
-        for i, rep in enumerate(slots):
-            entry = info.lattice[i]
-            new_entry, changed = self._merge_slot(entry, rep, state)
-            if changed:
-                info.lattice[i] = new_entry
-                # If the block was already generated — or is sitting on the
-                # worklist where an earlier predecessor computed its phi
-                # assigns against the old lattice — another pass is needed
-                # so all predecessors agree on the param list.
-                if (info.bid in self._generated
-                        or info.bid in self._enqueued):
-                    self._pass_changed = True
-            if new_entry[0] == "param":
-                assigns.append(("p%d_%d" % (info.bid, i), rep))
-        if info.bid not in self._enqueued and info.bid not in self._generated:
-            self._enqueue_merge(info)
-        return info.bid, assigns
+        if self._join_slots(info, state):
+            self._restart(cause)
+        return bid, self._phi_assigns(info, state)
+
+    def _decide(self, info):
+        """Decide a popped block from every edge that reached it: one
+        edge keeps its state (partial objects stay virtual); more make it
+        a merge block whose lattice covers them all. Returns the block's
+        ``(bid, entry state, params)``."""
+        edges = info.edges
+        info.edges = None
+        info.staged = self.pass_count
+        if info.mode == "single" and len(edges) == 1:
+            return info.bid, edges[0].state, None
+        info.mode = "merge"
+        if info.shape is None:
+            info.shape = edges[0].state
+        for edge in edges:
+            # Partials cannot cross a merge: materialize in the
+            # predecessor, where its edge left it.
+            edge.materialize(self)
+        for edge in edges:
+            self._join_slots(info, edge.state)
+        for edge in edges:
+            edge.assigns.extend(self._phi_assigns(info, edge.state))
+        return self._merge_entry(info)
 
     def _materialize(self, state):
         """Escape every allocation ``state`` still scalar-replaces."""
         for name in list(state.heap):
             if not state.heap[name].materialized:
                 self.escape(state, Sym(name))
+
+    def _join_slots(self, info, state):
+        """Join ``state``'s slots into the merge lattice of ``info``;
+        True when the lattice moved."""
+        slots = self._flatten_slots(state)
+        if info.lattice is None:
+            info.lattice = [("bot",)] * len(slots)
+        if len(info.lattice) != len(slots):
+            raise CompilationError("inconsistent frame shapes at join")
+        moved = False
+        for i, rep in enumerate(slots):
+            entry, changed = self._merge_slot(info.lattice[i], rep, state)
+            if changed:
+                info.lattice[i] = entry
+                moved = True
+        return moved
+
+    def _phi_assigns(self, info, state):
+        return [("p%d_%d" % (info.bid, i), rep)
+                for i, rep in enumerate(self._flatten_slots(state))
+                if info.lattice[i][0] == "param"]
 
     def _merge_slot(self, entry, rep, state):
         av = self.eval_abs(state, rep)
@@ -977,18 +1049,6 @@ class StagedInterpreter:
         if merged == entry[1]:
             return entry, False
         return ("param", merged), True
-
-    def _enqueue_single(self, info, state):
-        self._enqueued.add(info.bid)
-        self._worklist.append(("single", info.bid, state))
-
-    def _enqueue_merge(self, info):
-        # Only the MergeInfo goes on the worklist; the entry state is built
-        # from the *current* lattice at pop time (_merge_entry), so slot
-        # upgrades (const -> param) between enqueue and generation are
-        # never observed through a stale snapshot.
-        self._enqueued.add(info.bid)
-        self._worklist.append(("merge", info))
 
     def _merge_entry(self, info):
         state = info.shape.copy()
@@ -1019,7 +1079,7 @@ class StagedInterpreter:
                                    % MAX_BLOCKS)
         block = self.ctx.new_block(bid, params=params or ())
         self.ctx.set_current(block)
-        self._generated.add(bid)
+        self._out_edges = []
         # Per-block store-to-load forwarding memo for pre-existing
         # arrays/objects: ("arr", id, index) / ("f", id, field) -> Rep.
         self._forward = {}
@@ -1035,10 +1095,16 @@ class StagedInterpreter:
         state.frame.bci = target_bci
         if self._trace is None \
                 and target_bci in join_bcis(state.frame.method):
-            tbid, assigns = self.reach(state)
-            block.terminator = Jump(tbid, assigns)
+            self._jump(block, state)
             return _END
         return _CONTINUE
+
+    def _jump(self, block, state):
+        """End ``block`` with a jump to where ``state`` is. The jump keeps
+        reach's assigns list, which a target decided later fills in."""
+        bid, assigns = self.reach(state)
+        block.terminator = Jump(bid)
+        block.terminator.phi_assigns = assigns
 
     def _exec(self, state, block):
         """Symbolically execute from ``state`` until a terminator."""
@@ -1054,8 +1120,7 @@ class StagedInterpreter:
                     return
             # Split when falling into a join point (but not on block entry).
             elif steps > 0 and frame.bci in join_bcis(frame.method):
-                tbid, assigns = self.reach(state)
-                block.terminator = Jump(tbid, assigns)
+                self._jump(block, state)
                 return
             steps += 1
             code = frame.method.code
@@ -1111,14 +1176,15 @@ class StagedInterpreter:
                 s_taken = state.copy()
                 s_taken.frame.bci = ins.arg
                 s_fall = state
-                t_bid, t_assigns = self.reach(s_taken)
-                f_bid, f_assigns = self.reach(s_fall)
-                if op is Op.JIF_TRUE:
-                    block.terminator = Branch(cond, t_bid, t_assigns,
-                                              f_bid, f_assigns)
-                else:
-                    block.terminator = Branch(cond, f_bid, f_assigns,
-                                              t_bid, t_assigns)
+                taken = self.reach(s_taken)
+                fall = self.reach(s_fall)
+                (t_bid, t_assigns), (f_bid, f_assigns) = \
+                    (taken, fall) if op is Op.JIF_TRUE else (fall, taken)
+                # Keep reach's assigns lists: a target decided later
+                # fills them in.
+                block.terminator = term = Branch(cond, t_bid, (), f_bid, ())
+                term.true_assigns = t_assigns
+                term.false_assigns = f_assigns
                 if checktaint:
                     # Record the terminator as a taint sink; the IR-level
                     # taint pass decides later whether the condition is
@@ -1576,7 +1642,7 @@ class StagedInterpreter:
         if isinstance(av, Static) and isinstance(av.obj, list):
             if id(av.obj) not in self._written_statics:
                 self._written_statics.add(id(av.obj))
-                self._pass_changed = True
+                self._restart("static_write")
 
     def _alen(self, state, spec, arr):
         av = self.eval_abs(state, arr)
@@ -1701,6 +1767,19 @@ class _NoValueType:
 
 
 _NO_VALUE = _NoValueType()
+
+
+def _rpo_priority(state):
+    """Where ``state`` is in the reverse postorder of its frames'
+    bytecode, outermost frame first (a caller is at its call)."""
+    frame = state.frame
+    parts = [rpo_index(frame.method)[frame.bci]]
+    frame = frame.parent
+    while frame is not None:
+        parts.append(rpo_index(frame.method)[frame.bci - 1])
+        frame = frame.parent
+    parts.reverse()
+    return tuple(parts)
 
 
 def _states_equal(a, b):

@@ -163,9 +163,6 @@ class MacroContext:
         return self.machine.ctx.emit(op, args, effect=effect,
                                      flags=merged_flags, absval=absval)
 
-    def emit_native_call(self, native, args, absval=None):
-        return self.machine.emit_native(self.state, native, args)
-
     def warn(self, message):
         self.machine.ctx.warn(message)
 

@@ -20,11 +20,19 @@ caches, macro registry, Delite runtime). It bundles:
 Event kinds emitted by the built-in instrumentation::
 
     compile.start / compile.phase / compile.end
-                             (``compile.phase`` with ``phase="codegen"``
-                             carries ``structured``: False when the unit
-                             fell back to label dispatch, counted as
-                             ``codegen.unstructured``, with the reason in
-                             ``fallback``)
+                             (``compile.phase`` with ``phase="staging"``
+                             is one staging pass: ``pass_num``;
+                             ``changed``, True when another pass follows;
+                             ``cause`` of that restart, one of
+                             ``loop_header``, ``join`` or ``static_write``
+                             (None on the last pass); ``generated``, the
+                             blocks staged by this and earlier passes;
+                             ``kept``, the blocks the unit keeps (0 on a
+                             restarted pass). ``compile.phase`` with
+                             ``phase="codegen"`` carries ``structured``:
+                             False when the unit fell back to label
+                             dispatch, counted as ``codegen.unstructured``,
+                             with the reason in ``fallback``)
     inline.decision          (action: inline | residual, policy)
     unroll.clone             (polyvariant loop-header cloning)
     guard.install            (speculation guards: kind, reason)

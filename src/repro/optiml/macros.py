@@ -215,10 +215,3 @@ def install_optiml_macros(jit):
         jit.install_macro(OPTIML_MODULE, name, fn)
     for (cls, name), fn in _VIRTUAL_MACROS.items():
         jit.install_macro(cls, name, fn)
-
-
-def uninstall_optiml_macros(jit):
-    for name in _MACROS:
-        jit.macros.uninstall(OPTIML_MODULE, name)
-    for cls, name in _VIRTUAL_MACROS:
-        jit.macros.uninstall(cls, name)
